@@ -8,6 +8,11 @@ recoverability of tensor codes against a randomized generic oracle.
 Everything here is exhaustive verification at desk scale, not an efficient
 decoder.  Grid cells are addressed row-major: cell (r, c) is column r*n + c
 of the tensor parity-check matrix.
+
+The sweeps work on canonical element indices: the list-decoding checks read
+the field's index tables, and the tensor check's independence tests use the
+row operations of linalg's backends (the table backend for the code's field,
+the mod-p backend for the generic oracle's prime).
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .errors import (
     SizeConstraintError,
 )
 from .fields import FieldSpec
-from .linalg import MatrixF, rref
-from .mdscheck import CheckReport, _field_int_tables, _report, is_mds_ell
+from .linalg import MatrixF, ModPOps, TableOps, eliminate, rref
+from .mdscheck import CheckReport, _report, is_mds_ell
 
 __all__ = [
     "ErasurePattern",
@@ -153,10 +158,10 @@ def _ld_single(code: CodeSpec, ell: int, budget: int):
         raise BudgetExceededError(
             f"{count} weight-bounded vectors exceed budget {budget}"
         )
-    q, els, add, mul, _neg = _field_int_tables(code.field)
-    idx = {e.coeffs: i for i, e in enumerate(els)}
+    tables = code.field.index_tables()
+    add, mul = tables.add, tables.mul
     h = generator_matrix(dual_code(code))
-    hrows = [[idx[x.coeffs] for x in row] for row in h.rows]
+    hrows = [[x.to_int() for x in row] for row in h.rows]
     nonzero = range(1, q)
     # buckets hold the first ell+1 arrivals; weight-ascending enumeration
     # makes those the minimum-total choice, so each bucket is decided once
@@ -270,10 +275,10 @@ def worst_case_ld_check(
             f"{q}^{n} points or {q}^{k}*{ball} ball sweeps exceed budget {budget}"
         )
     prop = f"worst-case-ld(L={L},rho={radius_num}/{radius_den})"
-    q, els, add, mul, _neg = _field_int_tables(code.field)
-    idx = {e.coeffs: i for i, e in enumerate(els)}
+    tables = code.field.index_tables()
+    add, mul = tables.add, tables.mul
     g = generator_matrix(code)
-    grows = [[idx[x.coeffs] for x in row] for row in g.rows]
+    grows = [[x.to_int() for x in row] for row in g.rows]
     codewords = []
     for msg in itertools.product(range(q), repeat=k):
         cw = []
@@ -356,94 +361,55 @@ def tensor_parity(spec: TensorCodeSpec) -> MatrixF:
     return MatrixF(field, [list(reduced.rows[i]) for i in range(len(pivots))])
 
 
-def _independent_family(columns, eliminate, normalize) -> Set[FrozenSet[int]]:
-    """All column-index subsets that are linearly independent.
+def _independent_family(columns, ops) -> Set[int]:
+    """All linearly independent column-index subsets, as bitmasks.
 
-    Depth-first with one elimination step per (node, candidate): candidates
-    are kept reduced against the current basis, and a candidate that reduces
-    to zero is dropped from the whole subtree (supersets stay dependent).
+    Depth-first, one elimination step per (node, candidate) with the
+    backend's row operations: candidates are kept reduced against the
+    current basis, and a candidate that reduces to zero is dropped from the
+    whole subtree (supersets stay dependent).  Int masks rather than sets
+    keep the family out of the garbage collector's way.
     """
-    family: Set[FrozenSet[int]] = set()
+    family: Set[int] = set()
 
-    def rec(prefix, cand, new_basis):
-        family.add(frozenset(prefix))
-        survivors = []
-        for j, col in cand:
-            if new_basis is not None:
-                col = eliminate(col, new_basis[0], new_basis[1])
-            if any(col):
-                survivors.append((j, col))
-        for pos, (j, col) in enumerate(survivors):
+    def rec(mask, cand):
+        family.add(mask)
+        for pos, (j, col) in enumerate(cand):
             lead = next(i for i, x in enumerate(col) if x)
-            prefix.append(j)
-            rec(prefix, survivors[pos + 1 :], (normalize(col, lead), lead))
-            prefix.pop()
+            top = ops.scale(col, ops.inv(col[lead]), lead)
+            survivors = []
+            for j2, col2 in cand[pos + 1 :]:
+                if col2[lead]:
+                    col2 = ops.sub_multiple(col2, top, col2[lead], lead)
+                    if not any(col2):
+                        continue
+                survivors.append((j2, col2))
+            rec(mask | 1 << j, survivors)
 
-    rec([], list(enumerate(columns)), None)
+    rec(0, [(j, col) for j, col in enumerate(columns) if any(col)])
     return family
 
 
-def _table_backend(q, add, mul, neg):
-    inv = [0] * q
-    for x in range(1, q):
-        inv[x] = next(y for y in range(1, q) if mul[x][y] == 1)
-
-    def eliminate(col, vec, lead):
-        f = col[lead]
-        if not f:
-            return col
-        return tuple(add[c][neg[mul[f][v]]] for c, v in zip(col, vec))
-
-    def normalize(col, lead):
-        iv = inv[col[lead]]
-        return tuple(mul[iv][c] for c in col)
-
-    return eliminate, normalize
+def _cells_of(mask: int, cells: int) -> List[int]:
+    return [j for j in range(cells) if mask >> j & 1]
 
 
-def _modp_backend(p):
-    def eliminate(col, vec, lead):
-        f = col[lead]
-        if not f:
-            return col
-        return tuple((c - f * v) % p for c, v in zip(col, vec))
-
-    def normalize(col, lead):
-        iv = pow(col[lead], p - 2, p)
-        return tuple(c * iv % p for c in col)
-
-    return eliminate, normalize
-
-
-def _cols_independent(columns, idxs, eliminate, normalize) -> bool:
-    if columns and len(idxs) > len(columns[0]):
-        return False
-    basis = []
-    for j in idxs:
-        col = columns[j]
-        for vec, lead in basis:
-            col = eliminate(col, vec, lead)
-        lead = next((i for i, x in enumerate(col) if x), None)
-        if lead is None:
-            return False
-        basis.append((normalize(col, lead), lead))
-    return True
+def _cols_rank(columns, idxs, ops) -> int:
+    return len(eliminate([list(columns[j]) for j in idxs], ops)[0])
 
 
 def _actual_int_columns(spec: TensorCodeSpec):
-    q, els, add, mul, neg = _field_int_tables(spec.col_code.field)
-    idx = {e.coeffs: i for i, e in enumerate(els)}
+    """Tensor parity-check columns as canonical indices of the code's field."""
     hcol = generator_matrix(dual_code(spec.col_code))
     hrow = generator_matrix(dual_code(spec.row_code))
     rows = _tensor_layout(
-        [[idx[x.coeffs] for x in row] for row in hcol.rows],
-        [[idx[x.coeffs] for x in row] for row in hrow.rows],
+        [[x.to_int() for x in row] for row in hcol.rows],
+        [[x.to_int() for x in row] for row in hrow.rows],
         spec.m,
         spec.n,
         0,
     )
-    cols = [tuple(row[j] for row in rows) for j in range(spec.m * spec.n)]
-    return cols, _table_backend(q, add, mul, neg)
+    return [[row[j] for row in rows] for j in range(spec.m * spec.n)]
 
 
 def _generic_int_columns(m, n, a, b, rng):
@@ -451,25 +417,25 @@ def _generic_int_columns(m, n, a, b, rng):
     hcol = [[rng.randrange(p) for _ in range(m)] for _ in range(a)]
     hrow = [[rng.randrange(p) for _ in range(n)] for _ in range(b)]
     rows = _tensor_layout(hcol, hrow, m, n, 0)
-    return [tuple(row[j] for row in rows) for j in range(m * n)]
+    return [[row[j] for row in rows] for j in range(m * n)]
 
 
 # majority-vote generic families, keyed by shape; the oracle is seeded, so
 # every spec of the same shape shares one family
-_GENERIC_FAMILY_CACHE: Dict[tuple, Set[FrozenSet[int]]] = {}
+_GENERIC_FAMILY_CACHE: Dict[tuple, Set[int]] = {}
 
 
-def _generic_family(m, n, a, b, trials, seed) -> Set[FrozenSet[int]]:
+def _generic_family(m, n, a, b, trials, seed) -> Set[int]:
     key = (m, n, a, b, trials, seed)
     cached = _GENERIC_FAMILY_CACHE.get(key)
     if cached is not None:
         return cached
     rng = random.Random(seed)
-    eliminate, normalize = _modp_backend(GENERIC_ORACLE_PRIME)
-    votes: Dict[FrozenSet[int], int] = {}
+    ops = ModPOps(GENERIC_ORACLE_PRIME)
+    votes: Dict[int, int] = {}
     for _ in range(trials):
         cols = _generic_int_columns(m, n, a, b, rng)
-        for e in _independent_family(cols, eliminate, normalize):
+        for e in _independent_family(cols, ops):
             votes[e] = votes.get(e, 0) + 1
     fam = {e for e, v in votes.items() if 2 * v > trials}
     _GENERIC_FAMILY_CACHE[key] = fam
@@ -504,20 +470,21 @@ def mr_check(
         raise BudgetExceededError(
             f"field order {q} needs {q * q} table entries, over budget {budget}"
         )
-    act_cols, (elim_t, norm_t) = _actual_int_columns(spec)
+    act_cols = _actual_int_columns(spec)
+    act_ops = TableOps(spec.row_code.field)
 
     if 2**cells <= budget:
-        fam_act = _independent_family(act_cols, elim_t, norm_t)
+        fam_act = _independent_family(act_cols, act_ops)
         fam_gen = _generic_family(m, n, a, b, trials, seed)
         diff = fam_act ^ fam_gen
         if diff:
-            e = min(diff, key=lambda s: (len(s), tuple(sorted(s))))
+            e = min(diff, key=lambda s: (bin(s).count("1"), _cells_of(s, cells)))
             side = (
                 "correctable generically but not by this code"
                 if e in fam_gen
                 else "correctable by this code but not generically"
             )
-            pattern = ErasurePattern.from_indices(m, n, e)
+            pattern = ErasurePattern.from_indices(m, n, _cells_of(e, cells))
             detail = (
                 f"mode=exhaustive; pattern {pattern.format() or '(empty)'} "
                 f"{side}; {len(diff)} disagreements"
@@ -530,17 +497,16 @@ def mr_check(
 
     # sampling mode
     rng = random.Random(seed)
-    elim_p, norm_p = _modp_backend(GENERIC_ORACLE_PRIME)
+    gen_ops = ModPOps(GENERIC_ORACLE_PRIME)
     gen_runs = [
         _generic_int_columns(m, n, a, b, random.Random(seed + 1 + i))
         for i in range(trials)
     ]
     for _ in range(budget):
-        bits = rng.getrandbits(cells)
-        idxs = [j for j in range(cells) if bits >> j & 1]
-        act = _cols_independent(act_cols, idxs, elim_t, norm_t)
+        idxs = _cells_of(rng.getrandbits(cells), cells)
+        act = _cols_rank(act_cols, idxs, act_ops) == len(idxs)
         votes = sum(
-            _cols_independent(cols, idxs, elim_p, norm_p) for cols in gen_runs
+            _cols_rank(cols, idxs, gen_ops) == len(idxs) for cols in gen_runs
         )
         gen = 2 * votes > trials
         if act != gen:

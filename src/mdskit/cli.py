@@ -28,7 +28,7 @@ from .applications import (
 )
 from .codes import CodeSpec, format_code, parse_code
 from .constructions import CONSTRUCTION_NAMES, ConstructionParams, construct
-from .errors import BudgetExceededError, MdskitError
+from .errors import BudgetExceededError, MdskitError, SizeConstraintError
 from .linalg import rank
 from .mdscheck import CheckReport, exhaustive_code_search, is_mds, is_mds3_rs_fast, is_mds_ell
 from .multipoly import (
@@ -149,9 +149,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    res = exhaustive_code_search(
-        args.n, args.k, args.q, prop=args.property, budget=args.budget
-    )
+    try:
+        res = exhaustive_code_search(
+            args.n, args.k, args.q, prop=args.property, budget=args.budget
+        )
+    except SizeConstraintError as exc:
+        raise UsageError(str(exc))
     _emit(
         {
             "event": "search",
@@ -293,12 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "jsonl"), default="text", help="report format"
     )
     common.add_argument("--seed", type=int, default=0, help="randomized-oracle seed")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker hint; verdicts and reports never depend on it",
-    )
 
     top = argparse.ArgumentParser(
         prog="mdskit",

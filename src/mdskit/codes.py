@@ -373,6 +373,11 @@ def parse_code(text: str) -> Tuple[CodeSpec, Dict[str, str]]:
             )
         if len(rows) != k:
             raise DegreeMismatchError(f"expected {k} row lines, got {len(rows)}")
+        for row in rows:
+            if len(row) != n:
+                raise DegreeMismatchError(
+                    f"header says n={n}, but a row has {len(row)} entries"
+                )
         if k == 0:
             m = MatrixF(f, [])
             return CodeSpec(f, n, 0, "explicit", matrix=m), provenance

@@ -28,7 +28,8 @@ from .fields import (
     FieldSpec,
     extend_binomial_chain,
     field_make,
-    prime_factors,
+    field_of_order,
+    prime_power,
 )
 
 __all__ = [
@@ -79,31 +80,13 @@ class BuildResult:
 # -- small numeric helpers -------------------------------------------------------------
 
 
-def _prime_power(m: int) -> Optional[Tuple[int, int]]:
-    if m < 2:
-        return None
-    ps = prime_factors(m)
-    if len(ps) != 1:
-        return None
-    p = ps[0]
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return (p, e) if m == 1 else None
-
-
 def _prime_powers_from(start: int) -> Iterator[Tuple[int, int, int]]:
     m = max(start, 2)
     while True:
-        pp = _prime_power(m)
+        pp = prime_power(m)
         if pp:
             yield (m, pp[0], pp[1])
         m += 1
-
-
-def _field_of_order(q: int, p: int, e: int) -> FieldSpec:
-    return field_make(p) if e == 1 else field_make(p, [e])
 
 
 def _first_elements(field: FieldSpec, n: int) -> List[FieldElement]:
@@ -182,7 +165,7 @@ def build_k3_n4(n: int) -> BuildResult:
     if n < 1:
         raise SizeConstraintError("need n >= 1")
     q, p, e = next(t for t in _prime_powers_from(max(n, 3)) if t[1] != 2)
-    base = _field_of_order(q, p, e)
+    base = field_of_order(q)
     ext = base.extend(4)
     gamma = ext.gen()
     alphas = _first_elements(base, n)
@@ -227,7 +210,7 @@ def build_k3_n3(n: int) -> BuildResult:
             stacklevel=2,
         )
     q = 7**e
-    base = _field_of_order(q, 7, e)
+    base = field_of_order(q)
     # top coefficient 1: any six such elements sum to top coefficient 6
     S = [x for x in base.elements() if x.coeffs[-1] == 1]
     assert len(S) == q // 7 and len(S) >= n
@@ -271,7 +254,7 @@ def build_k4(n: int, k: int = 4) -> BuildResult:
         raise SizeConstraintError("need n >= k")
     q, p, e = next(t for t in _prime_powers_from(n) if t[1] >= k)
     assert p >= k
-    base = _field_of_order(q, p, e)
+    base = field_of_order(q)
     ext = base.extend(2 * k - 1)
     gamma = ext.gen()
     alphas = _first_elements(base, n)
@@ -341,7 +324,7 @@ def build_k5_weak(
         for q, p, e in _prime_powers_from(2):
             if q > 2 * n * n + 2:
                 break
-            base_try = _field_of_order(q, p, e)
+            base_try = field_of_order(q)
             got = greedy_sidon(base_try, n)
             if got is not None:
                 found = (base_try, got, q)
@@ -402,7 +385,7 @@ def build_general(
         )
     top = None
     for q0, p, e in _prime_powers_from(n + k - 1):
-        base = _field_of_order(q0, p, e)
+        base = field_of_order(q0)
         for ci in range(1, q0):
             c = base.from_int(ci)
             try:

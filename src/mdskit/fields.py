@@ -44,6 +44,8 @@ __all__ = [
     "frobenius",
     "is_prime",
     "prime_factors",
+    "prime_power",
+    "field_of_order",
     "format_field",
     "parse_field",
     "format_element",
@@ -95,6 +97,18 @@ def prime_factors(n: int) -> List[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power(q: int) -> Optional[Tuple[int, int]]:
+    """(p, e) with q = p**e and p prime, or None when q is not a prime power."""
+    ps = prime_factors(q) if q >= 2 else []
+    if len(ps) != 1:
+        return None
+    p, e = ps[0], 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e
 
 
 def _binomial_irreducible(q: int, e: int, t: int) -> bool:
@@ -206,9 +220,16 @@ class FieldElement:
             e >>= 1
         return result
 
+    def _prime_value(self) -> Optional[int]:
+        # the representative in 0..p-1 when the element lies in the prime field
+        c = self.coeffs
+        return None if any(c[1:]) else c[0]
+
     def __eq__(self, other) -> bool:
+        # an int n is equal only to the prime-field element whose
+        # representative is n itself (0 <= n < p), so that hashes agree
         if isinstance(other, int):
-            return self.coeffs == self.field.element(other).coeffs
+            return self._prime_value() == other
         if not isinstance(other, FieldElement):
             return NotImplemented
         return (
@@ -216,6 +237,9 @@ class FieldElement:
         ) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        n = self._prime_value()
+        if n is not None:
+            return hash(n)
         return hash((self.field._sig_hash, self.coeffs))
 
     def to_int(self) -> int:
@@ -261,6 +285,7 @@ class FieldSpec:
         self._sig_hash = hash(self._sig)
         self._order: Optional[int] = None
         self._level_red: Optional[List[dict]] = None
+        self._index_tables: Optional[IndexTables] = None
         self.zero = FieldElement(self, (0,) * self.D)
         one = [0] * self.D
         one[0] = 1
@@ -398,6 +423,12 @@ class FieldSpec:
         if self._level_red is None:
             self._level_red = self._build_level_tables()
         return self._level_red
+
+    def index_tables(self) -> "IndexTables":
+        """Arithmetic tables over canonical indices, built on first use."""
+        if self._index_tables is None:
+            self._index_tables = IndexTables(self)
+        return self._index_tables
 
     def _mul(self, ca: Tuple[int, ...], cb: Tuple[int, ...]) -> Tuple[int, ...]:
         p = self.p
@@ -588,6 +619,24 @@ class FieldSpec:
         return None
 
 
+class IndexTables:
+    """A small field's arithmetic as lookup tables over canonical indices.
+
+    Element i is ``field.from_int(i)``, so 0 is zero and 1 is one.  ``add``
+    and ``mul`` are q x q tables, ``neg`` and ``inv`` have q entries
+    (``inv[0]`` is a placeholder).  Building costs q^2 field operations.
+    """
+
+    __slots__ = ("add", "mul", "neg", "inv")
+
+    def __init__(self, field: FieldSpec):
+        els = list(field.elements())
+        self.add = [[(a + b).to_int() for b in els] for a in els]
+        self.mul = [[(a * b).to_int() for b in els] for a in els]
+        self.neg = [(-a).to_int() for a in els]
+        self.inv = [0] + [row.index(1) for row in self.mul[1:]]
+
+
 def _mult_order(a: FieldElement) -> int:
     """Order of a in the multiplicative group (field must be small)."""
     if a.is_zero():
@@ -761,6 +810,16 @@ def field_make(p: int, extensions: Sequence = ()) -> FieldSpec:
             degree, poly = ext
             f = f.extend(degree, poly)
     return f
+
+
+def field_of_order(q: int) -> FieldSpec:
+    """GF(q) for a prime power q = p^e: GF(p), extended by the smallest monic
+    irreducible of degree e when e > 1."""
+    pp = prime_power(q)
+    if pp is None:
+        raise NotPrimeError(f"{q} is not a prime power")
+    p, e = pp
+    return field_make(p, [e] if e > 1 else [])
 
 
 def frobenius(a: FieldElement) -> FieldElement:

@@ -1,13 +1,21 @@
-"""Exact dense linear algebra over finite field towers.
+"""Exact dense linear algebra over finite fields.
 
-Everything here is plain Gaussian elimination over a FieldSpec; no floating
-point is involved anywhere.  Matrices are immutable.  Kernel bases are
-canonical: one vector per free column in increasing column order, with a
-unit in the free position, so tests can compare bases literally.
+One Gaussian-elimination routine, :func:`eliminate`, does every row
+reduction in mdskit.  It works on plain lists of rows through a backend
+with two row operations (subtract a multiple of the pivot row, scale a row;
+both from the pivot column on) and the multiply, negate and inverse that
+pivoting needs.  :class:`FieldOps` computes with FieldElements and serves
+MatrixF; :class:`TableOps` computes with a small field's canonical indices
+through the tables its FieldSpec builds once; :class:`ModPOps` computes with
+ints modulo a prime, for the generic oracle field.  No floating point is
+involved anywhere.  Matrices are immutable.  Kernel bases are canonical:
+one vector per free column in increasing column order, with a unit in the
+free position, so tests can compare bases literally.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -20,6 +28,11 @@ from .fields import FieldElement, FieldSpec
 
 __all__ = [
     "MatrixF",
+    "FieldOps",
+    "TableOps",
+    "ModPOps",
+    "eliminate",
+    "null_basis",
     "det",
     "rank",
     "rref",
@@ -28,6 +41,172 @@ __all__ = [
     "subspace_intersection_dim",
     "block_mds_matrix",
 ]
+
+
+# -- backends ----------------------------------------------------------------------
+
+
+class FieldOps:
+    """Entries are FieldElements of one field."""
+
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    def __init__(self, field: FieldSpec):
+        self.zero, self.one = field.zero, field.one
+
+    @staticmethod
+    def inv(a):
+        return a.inverse()
+
+    @staticmethod
+    def sub_multiple(row, top, f, start):
+        out = row[:]
+        for j in range(start, len(row)):
+            b = top[j]
+            if b:  # a zero in the pivot row leaves the entry as it is
+                out[j] = row[j] - f * b
+        return out
+
+    @staticmethod
+    def scale(row, c, start):
+        out = row[:]
+        for j in range(start, len(row)):
+            if row[j]:
+                out[j] = c * row[j]
+        return out
+
+
+class TableOps:
+    """Entries are canonical indices of a small field; arithmetic is lookup."""
+
+    zero, one = 0, 1
+
+    def __init__(self, field: FieldSpec):
+        t = self.tables = field.index_tables()
+        self.neg, self.inv = t.neg.__getitem__, t.inv.__getitem__
+
+    def mul(self, a, b):
+        return self.tables.mul[a][b]
+
+    def sub_multiple(self, row, top, f, start):
+        t = self.tables
+        add, times = t.add, t.mul[t.neg[f]]
+        out = row[:]
+        for j in range(start, len(row)):
+            out[j] = add[row[j]][times[top[j]]]
+        return out
+
+    def scale(self, row, c, start):
+        times = self.tables.mul[c]
+        out = row[:]
+        for j in range(start, len(row)):
+            out[j] = times[row[j]]
+        return out
+
+
+class ModPOps:
+    """Entries are ints modulo a prime p, kept in 0..p-1."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def sub_multiple(self, row, top, f, start):
+        p = self.p
+        out = row[:]
+        for j in range(start, len(row)):
+            out[j] = (row[j] - f * top[j]) % p
+        return out
+
+    def scale(self, row, c, start):
+        p = self.p
+        out = row[:]
+        for j in range(start, len(row)):
+            out[j] = c * row[j] % p
+        return out
+
+
+# -- the elimination routine ---------------------------------------------------------
+
+
+def eliminate(rows: list, ops, reduced: bool = True) -> Tuple[List[int], object]:
+    """Gaussian elimination of a list of row lists, in place.
+
+    reduced=True gives the reduced row echelon form: each pivot row is
+    scaled to a leading one and its column cleared in every other row.
+    reduced=False, for a square matrix, only clears below each pivot and
+    stops at the first column without one.  Returns the pivot columns and,
+    when not reduced, the determinant (the signed product of the pivots,
+    zero when a column has no pivot).
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    pivots: List[int] = []
+    swaps = 0
+    detv = ops.one
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = r
+        while piv < m and not rows[piv][col]:
+            piv += 1
+        if piv == m:
+            if reduced:
+                continue
+            return pivots, ops.zero
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        top = rows[r]
+        pv = top[col]
+        inv = None
+        if reduced:
+            inv = ops.inv(pv)
+            top = rows[r] = ops.scale(top, inv, col)
+        else:
+            detv = ops.mul(detv, pv)
+        for i in range(0 if reduced else r + 1, m):
+            f = rows[i][col]
+            if not f or i == r:
+                continue
+            if not reduced:
+                # the inverse is taken only when some row below needs it
+                if inv is None:
+                    inv = ops.inv(pv)
+                f = ops.mul(f, inv)
+            rows[i] = ops.sub_multiple(rows[i], top, f, col)
+        pivots.append(col)
+    return pivots, ops.neg(detv) if swaps % 2 else detv
+
+
+def null_basis(rows: Sequence[Sequence], ncols: int, ops) -> List[list]:
+    """Canonical right-kernel basis of the matrix with these rows and ncols
+    columns: one vector per free column, in increasing order, unit there."""
+    rows = [list(r) for r in rows]
+    pivots, _ = eliminate(rows, ops)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [ops.zero] * ncols
+        vec[free] = ops.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = ops.neg(rows[r][free])
+        basis.append(vec)
+    return basis
 
 
 class MatrixF:
@@ -58,13 +237,6 @@ class MatrixF:
     def zeros(cls, field: FieldSpec, r: int, c: int) -> "MatrixF":
         return cls(field, [[field.zero] * c for _ in range(r)])
 
-    @classmethod
-    def from_cols(cls, field: FieldSpec, cols: Sequence[Sequence]) -> "MatrixF":
-        if not cols:
-            return cls(field, [])
-        n = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
     def __getitem__(self, ij: Tuple[int, int]) -> FieldElement:
         i, j = ij
         return self.rows[i][j]
@@ -84,16 +256,6 @@ class MatrixF:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "MatrixF":
         return MatrixF(
             self.field, [[self.rows[i][j] for j in cols] for i in rows]
-        )
-
-    def hstack(self, other: "MatrixF") -> "MatrixF":
-        if self.field != other.field:
-            raise FieldMismatchError("cannot stack matrices over different fields")
-        if self.nrows != other.nrows:
-            raise DimensionMismatchError("row counts differ")
-        return MatrixF(
-            self.field,
-            [self.rows[i] + other.rows[i] for i in range(self.nrows)],
         )
 
     def __matmul__(self, other: "MatrixF") -> "MatrixF":
@@ -151,63 +313,13 @@ def det(m: MatrixF) -> FieldElement:
     """Determinant by elimination; the empty matrix has determinant one."""
     if m.nrows != m.ncols:
         raise NotSquareError(f"{m.nrows}x{m.ncols} matrix has no determinant")
-    n = m.nrows
-    f = m.field
-    if n == 0:
-        return f.one
-    a = [list(row) for row in m.rows]
-    sign = 1
-    result = f.one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return f.zero
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        pv = a[col][col]
-        result = result * pv
-        inv = pv.inverse()
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                a[r] = [
-                    a[r][j] - factor * a[col][j] if j >= col else f.zero
-                    for j in range(n)
-                ]
-    return result if sign == 1 else -result
-
-
-def _rref_rows(
-    field: FieldSpec, rows: List[List[FieldElement]]
-) -> Tuple[List[List[FieldElement]], List[int]]:
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: List[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [
-                    rows[i][j] - factor * rows[r][j] for j in range(n)
-                ]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    return eliminate([list(r) for r in m.rows], FieldOps(m.field), reduced=False)[1]
 
 
 def rref(m: MatrixF) -> Tuple[MatrixF, Tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    rows, pivots = _rref_rows(m.field, [list(r) for r in m.rows])
+    rows = [list(r) for r in m.rows]
+    pivots, _ = eliminate(rows, FieldOps(m.field))
     return MatrixF(m.field, rows), tuple(pivots)
 
 
@@ -217,19 +329,7 @@ def rank(m: MatrixF) -> int:
 
 def kernel(m: MatrixF) -> List[Tuple[FieldElement, ...]]:
     """Canonical right-kernel basis: one vector per free column, unit there."""
-    f = m.field
-    rows, pivots = _rref_rows(f, [list(r) for r in m.rows])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        vec = [f.zero] * m.ncols
-        vec[free] = f.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][free]
-        basis.append(tuple(vec))
-    return basis
+    return [tuple(v) for v in null_basis(m.rows, m.ncols, FieldOps(m.field))]
 
 
 def solve(m: MatrixF, b: Sequence[FieldElement]) -> Optional[Tuple[FieldElement, ...]]:
@@ -240,26 +340,22 @@ def solve(m: MatrixF, b: Sequence[FieldElement]) -> Optional[Tuple[FieldElement,
     aug = [list(m.rows[i]) + [f.element(b[i])] for i in range(m.nrows)]
     if not aug:
         return tuple()
-    rows, pivots = _rref_rows(f, aug)
+    pivots, _ = eliminate(aug, FieldOps(f))
     if pivots and pivots[-1] == m.ncols:
         return None
     x = [f.zero] * m.ncols
     for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.ncols]
+        x[pc] = aug[r][m.ncols]
     return tuple(x)
-
-
-def _col_basis(m: MatrixF) -> MatrixF:
-    """Matrix whose columns are an independent spanning set of the column space."""
-    _, pivots = rref(m)
-    return m.submatrix(range(m.nrows), pivots)
 
 
 def subspace_intersection_dim(bases: Sequence[MatrixF]) -> int:
     """Dimension of the intersection of column spaces.
 
-    Computed pairwise: vectors in span(U) and span(B) correspond to kernel
-    elements of [U | B], whose U-part coordinates give the intersection.
+    The intersection is the orthogonal complement of the sum of the
+    complements, so its dimension is the ambient dimension minus the rank
+    of every basis's normal vectors stacked; the normals of a span are the
+    kernel of its columns taken as rows.
     """
     if not bases:
         raise DimensionMismatchError("need at least one subspace")
@@ -270,19 +366,13 @@ def subspace_intersection_dim(bases: Sequence[MatrixF]) -> int:
             raise FieldMismatchError("subspace bases over different fields")
         if b.nrows != ambient:
             raise DimensionMismatchError("subspaces of different ambient spaces")
-    current = _col_basis(bases[0])
-    for b in bases[1:]:
-        if current.ncols == 0:
-            return 0
-        b = _col_basis(b)
-        if b.ncols == 0:
-            return 0
-        ker = kernel(current.hstack(b))
-        cols = [
-            current.mul_vector(vec[: current.ncols]) for vec in ker
-        ]
-        current = _col_basis(MatrixF.from_cols(field, cols)) if cols else MatrixF(field, [[] for _ in range(ambient)])
-    return current.ncols
+    ops = FieldOps(field)
+    normals = [
+        v
+        for b in bases
+        for v in null_basis([b.col(j) for j in range(b.ncols)], ambient, ops)
+    ]
+    return ambient - (rank(MatrixF(field, normals)) if normals else 0)
 
 
 def block_mds_matrix(v: MatrixF, sets: Sequence[Sequence[int]]) -> MatrixF:

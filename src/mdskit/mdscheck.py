@@ -16,7 +16,10 @@ Decision paths implemented here:
 * ``lb_witness_projective``: the projective-point distinctness witness
   behind the field-size lower bound.
 * ``exhaustive_code_search``: complete systematic enumeration at tiny
-  parameters over integer-encoded field tables.
+  parameters, with elements as canonical indices.  Minors, the row-space
+  key and the intersection certificate (the stacked normal vectors of the
+  sets, in closed form at k = 3) all run through the table backend of
+  ``linalg``'s one elimination routine.
 
 All reports carry the number of tuples examined (determinant evaluations
 or point comparisons performed) and wall time.
@@ -24,6 +27,7 @@ or point comparisons performed) and wall time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -42,8 +46,17 @@ from .errors import (
     SizeConstraintError,
     WrongKindError,
 )
-from .fields import FieldElement, FieldSpec, field_make, prime_factors
-from .linalg import MatrixF, block_mds_matrix, det, rank, rref
+from .fields import FieldElement, FieldSpec, field_of_order, prime_power
+from .linalg import (
+    MatrixF,
+    TableOps,
+    block_mds_matrix,
+    det,
+    eliminate,
+    null_basis,
+    rank,
+    rref,
+)
 from math import comb
 
 __all__ = [
@@ -456,27 +469,12 @@ class SearchResult:
     candidates: int
 
 
-def _field_int_tables(field: FieldSpec):
-    els = list(field.elements())
-    q = len(els)
-    idx = {e.coeffs: i for i, e in enumerate(els)}
-    add = [[idx[(a + b).coeffs] for b in els] for a in els]
-    mul = [[idx[(a * b).coeffs] for b in els] for a in els]
-    neg = [idx[(-a).coeffs] for a in els]
-    return q, els, add, mul, neg
-
-
 def _int_det3(m, add, mul, neg):
     (a, b, c), (d, e, f), (g, h, i) = m
     t1 = mul[a][add[mul[e][i]][neg[mul[f][h]]]]
     t2 = mul[b][add[mul[d][i]][neg[mul[f][g]]]]
     t3 = mul[c][add[mul[d][h]][neg[mul[e][g]]]]
     return add[add[t1][neg[t2]]][t3]
-
-
-def _int_det2(m, add, mul, neg):
-    (a, b), (c, d) = m
-    return add[mul[a][d]][neg[mul[b][c]]]
 
 
 def _int_cross(u, v, add, mul, neg):
@@ -487,95 +485,38 @@ def _int_cross(u, v, add, mul, neg):
     )
 
 
-def _totally_nonsingular(x_rows, k, w, add, mul, neg) -> bool:
-    # all square minors of the k x w block nonzero, smallest first
-    for row in x_rows:
-        if any(v == 0 for v in row):
-            return False
-    for size in range(2, min(k, w) + 1):
-        for rr in itertools.combinations(range(k), size):
-            for cc in itertools.combinations(range(w), size):
-                sub = [[x_rows[i][j] for j in cc] for i in rr]
-                if size == 2:
-                    if _int_det2(sub, add, mul, neg) == 0:
+def _nonsingular_blocks(k: int, w: int, q: int, ops) -> Iterator[List[tuple]]:
+    """Every k x w block over GF(q) whose square minors are all nonzero, in
+    lexicographic row-major order.
+
+    Rows are drawn from the nonzero indices (a zero entry is a vanishing
+    1 x 1 minor) and added one at a time; each minor of size >= 2 is checked
+    once, when the last of its rows is added, so a failing prefix is never
+    extended.
+    """
+    pool = list(itertools.product(range(1, q), repeat=w))
+
+    def minors_nonzero(block):
+        i = len(block) - 1
+        for size in range(2, min(i + 1, w) + 1):
+            for rr in itertools.combinations(range(i), size - 1):
+                for cc in itertools.combinations(range(w), size):
+                    sub = [[block[r][j] for j in cc] for r in rr + (i,)]
+                    if not eliminate(sub, ops, reduced=False)[1]:
                         return False
-                elif size == 3:
-                    if _int_det3(sub, add, mul, neg) == 0:
-                        return False
-                else:
-                    if _int_gauss_det(sub, add, mul, neg) == 0:
-                        return False
-    return True
+        return True
 
+    def rec(block):
+        if len(block) == k:
+            yield list(block)
+            return
+        for row in pool:
+            block.append(row)
+            if minors_nonzero(block):
+                yield from rec(block)
+            block.pop()
 
-def _int_gauss_det(rows, add, mul, neg):
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    detv = 1
-    # build inverse by scanning (tiny fields only)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            detv = neg[detv]
-        pv = rows[col][col]
-        detv = mul[detv][pv]
-        inv = next(x for x in range(len(mul)) if mul[pv][x] == 1)
-        for r in range(col + 1, m):
-            if rows[r][col]:
-                f = mul[rows[r][col]][inv]
-                rows[r] = [
-                    add[rows[r][j]][neg[mul[f][rows[col][j]]]] for j in range(m)
-                ]
-    return detv
-
-
-def _int_rref_key(cols, k, add, mul, neg):
-    # canonical row-space key of the k x n matrix given as columns
-    n = len(cols)
-    rows = [[cols[j][i] for j in range(n)] for i in range(k)]
-    q = len(add)
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, k) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        inv = next(x for x in range(q) if mul[pv][x] == 1)
-        rows[r] = [mul[inv][v] for v in rows[r]]
-        for i in range(k):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [add[rows[i][j]][neg[mul[f][rows[r][j]]]] for j in range(n)]
-        r += 1
-        if r == k:
-            break
-    return tuple(tuple(row) for row in rows)
-
-
-def _prime_power(q: int) -> Tuple[int, int]:
-    facs = prime_factors(q)
-    if len(facs) != 1:
-        raise SizeConstraintError(f"{q} is not a prime power")
-    p = facs[0]
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    if q != 1:
-        raise SizeConstraintError("not a prime power")
-    return p, e
-
-
-def _make_field_of_order(q: int) -> FieldSpec:
-    p, e = _prime_power(q)
-    f = field_make(p)
-    if e > 1:
-        f = f.extend(e)
-    return f
+    yield from rec([])
 
 
 def exhaustive_code_search(
@@ -591,20 +532,23 @@ def exhaustive_code_search(
 
     Enumerates generator matrices with identity columns at a chosen
     information set and a free block elsewhere; with all_information_sets,
-    sweeps every placement and deduplicates row spaces.  The per-candidate
-    decision is exact: the code must be MDS (free block totally
-    nonsingular) and every filtered (k-1)-sized triple must have trivial
-    span intersection.
+    sweeps every placement and deduplicates row spaces by their reduced row
+    echelon form.  The per-candidate decision is exact: the code must be MDS
+    (free block totally nonsingular) and every filtered (k-1)-sized triple
+    must have trivial span intersection.  Elements are canonical indices
+    and all elimination runs through the table backend of linalg.
     """
     if prop != "mds3":
         raise WrongKindError(f"unsupported search property {prop!r}")
+    if prime_power(q) is None:
+        raise SizeConstraintError(f"{q} is not a prime power")
     w = n - k
     if q ** (k * w) > budget:
         raise BudgetExceededError(
             f"q^(k(n-k)) = {q ** (k * w)} exceeds budget {budget}"
         )
-    field = _make_field_of_order(q)
-    qq, els, add, mul, neg = _field_int_tables(field)
+    field = field_of_order(q)
+    ops = TableOps(field)
     tuples = [
         tup.sets
         for tup in _canonical_tuples(n, k, 3, k - 1)
@@ -621,135 +565,59 @@ def exhaustive_code_search(
     candidates = 0
     for info in placements:
         rest = [j for j in range(n) if j not in info]
-        for flat in itertools.product(range(qq), repeat=k * w):
-            candidates += 1
-            if 0 in flat:
-                # a zero entry is already a vanishing 1 x 1 minor
-                continue
-            x_rows = [flat[i * w : (i + 1) * w] for i in range(k)]
-            if not _totally_nonsingular(x_rows, k, w, add, mul, neg):
-                continue
+        candidates += q ** (k * w)
+        for x_rows in _nonsingular_blocks(k, w, q, ops):
             cols = [None] * n
             for i, pos in enumerate(info):
                 cols[pos] = tuple(1 if t == i else 0 for t in range(k))
             for j, pos in enumerate(rest):
                 cols[pos] = tuple(x_rows[i][j] for i in range(k))
-            if not _mds3_int(cols, k, tuples, add, mul, neg):
+            if not _mds3_certificate(cols, k, tuples, ops):
                 continue
-            key = _int_rref_key(cols, k, add, mul, neg)
+            rows = [[cols[j][i] for j in range(n)] for i in range(k)]
+            eliminate(rows, ops)
+            key = tuple(map(tuple, rows))
             if key in seen:
                 continue
             seen.add(key)
             count += 1
             if len(exemplars) < exemplar_cap:
-                rows = [[els[key[i][j]] for j in range(n)] for i in range(k)]
-                exemplars.append(explicit_code(field, rows))
+                elems = [[field.from_int(v) for v in row] for row in rows]
+                exemplars.append(explicit_code(field, elems))
     return SearchResult(count, exemplars, candidates)
 
 
-def _mds3_int(cols, k, tuples, add, mul, neg) -> bool:
+def _mds3_certificate(cols, k, tuples, ops) -> bool:
+    """No filtered tuple has intersecting column spans.
+
+    A set's normal vectors are the kernel of its columns taken as rows.  For
+    an MDS code, three sets with sizes summing to 2k give k normals in all,
+    and the spans meet exactly when that k x k stack is singular.  At k = 3
+    each set is a pair, its normal is the cross product and the stack's
+    determinant has a closed form.
+    """
     if k == 3:
-        normals: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+        t = ops.tables
 
-        def normal(pair):
-            got = normals.get(pair)
-            if got is None:
-                got = _int_cross(cols[pair[0]], cols[pair[1]], add, mul, neg)
-                normals[pair] = got
-            return got
+        def normal_rows(a):
+            return [_int_cross(cols[a[0]], cols[a[1]], t.add, t.mul, t.neg)]
 
-        for sets in tuples:
-            m = [normal(a) for a in sets]
-            if _int_det3(m, add, mul, neg) == 0:
-                return False
-        return True
-    if not tuples:
-        return True
-    # general small k: rank test on stacked kernels (tiny sizes only)
+        det_of = functools.partial(_int_det3, add=t.add, mul=t.mul, neg=t.neg)
+    else:
+        def normal_rows(a):
+            return null_basis([cols[j] for j in a], k, ops)
+
+        def det_of(stack):
+            return eliminate(stack, ops, reduced=False)[1]
+
+    normals: Dict[Tuple[int, ...], list] = {}
     for sets in tuples:
-        if _int_intersection_nontrivial(cols, k, sets, add, mul, neg):
+        stack = []
+        for a in sets:
+            got = normals.get(a)
+            if got is None:
+                got = normals[a] = normal_rows(a)
+            stack += got
+        if det_of(stack) == 0:
             return False
     return True
-
-
-def _int_intersection_nontrivial(cols, k, sets, add, mul, neg) -> bool:
-    # intersect column spans by alternating projections on small dims:
-    # represent each span by its basis, intersect pairwise via kernel
-    basis = [list(cols[j]) for j in sets[0]]
-    for a in sets[1:]:
-        other = [list(cols[j]) for j in a]
-        combined = basis + other
-        # kernel of the k x (len combined) matrix: vectors (u, v) with
-        # basis*u + other*v = 0; intersection spanned by basis*u parts
-        mat = [[combined[c][r] for c in range(len(combined))] for r in range(k)]
-        ker = _int_kernel(mat, add, mul, neg)
-        new_basis = []
-        for vec in ker:
-            comb_vec = [0] * k
-            for ci, coeff in enumerate(vec[: len(basis)]):
-                if coeff:
-                    for r in range(k):
-                        comb_vec[r] = add[comb_vec[r]][mul[coeff][basis[ci][r]]]
-            if any(comb_vec):
-                new_basis.append(comb_vec)
-        # reduce to independent set
-        basis = _int_col_reduce(new_basis, add, mul, neg)
-        if not basis:
-            return False
-    return bool(basis)
-
-
-def _int_kernel(mat, add, mul, neg):
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    q = len(add)
-    rows = [list(r) for r in mat]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        inv = next(x for x in range(q) if mul[pv][x] == 1)
-        rows[r] = [mul[inv][v] for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [
-                    add[rows[i][j]][neg[mul[f][rows[r][j]]]] for j in range(ncols)
-                ]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    pivset = set(pivots)
-    out = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for ri, pc in enumerate(pivots):
-            vec[pc] = neg[rows[ri][free]]
-        out.append(vec)
-    return out
-
-
-def _int_col_reduce(vectors, add, mul, neg):
-    # keep a maximal independent subset of the given vectors
-    q = len(add)
-    basis = []
-    for v in vectors:
-        v = list(v)
-        for b in basis:
-            # eliminate using the leading position of b
-            lead = next(i for i, x in enumerate(b) if x)
-            if v[lead]:
-                inv = next(x for x in range(q) if mul[b[lead]][x] == 1)
-                f = mul[v[lead]][inv]
-                v = [add[v[i]][neg[mul[f][b[i]]]] for i in range(len(v))]
-        if any(v):
-            basis.append(v)
-    return basis

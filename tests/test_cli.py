@@ -110,6 +110,13 @@ def test_check_missing_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_check_row_width_mismatch_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "wide.txt", BAD42.replace("n=4", "n=9"))
+    rc = cli.main(["check", path, "--property", "mds"])
+    assert rc == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
 def test_check_mr_requires_m(tmp_path, capsys):
     path = _write(tmp_path, "bad.txt", BAD42)
     rc = cli.main(["check", path, "--property", "mr"])
@@ -206,6 +213,12 @@ def test_search_counts_and_exemplars(capsys):
     assert "exemplar 0:" in out
 
 
+def test_search_non_prime_power_q_exits_2(capsys):
+    rc = cli.main(["search", "--n", "4", "--k", "2", "--q", "6"])
+    assert rc == 2
+    assert "not a prime power" in capsys.readouterr().err
+
+
 def test_search_budget_exits_3(capsys):
     rc = cli.main(["search", "--n", "6", "--k", "3", "--q", "4", "--budget", "10"])
     assert rc == 3
@@ -262,11 +275,8 @@ def test_jsonl_reports_parse(tmp_path, capsys):
     assert "witness" in obj
 
 
-def test_reports_ignore_thread_count(tmp_path, capsys):
-    out = _constructed(tmp_path)
-    capsys.readouterr()
-    cli.main(["check", out, "--property", "mds3", "--threads", "1"])
-    first = capsys.readouterr().out
-    cli.main(["check", out, "--property", "mds3", "--threads", "8"])
-    second = capsys.readouterr().out
-    assert first == second
+def test_threads_option_is_rejected(tmp_path):
+    path = _write(tmp_path, "bad.txt", BAD42)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", path, "--property", "mds3", "--threads", "1"])
+    assert exc.value.code == 2

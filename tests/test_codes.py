@@ -24,6 +24,7 @@ from mdskit.codes import (
     set_partitions,
 )
 from mdskit.errors import (
+    DegreeMismatchError,
     InfeasibleProfileError,
     RankLossError,
     SizeConstraintError,
@@ -335,4 +336,10 @@ def test_parse_code_validates():
     c = rs_code(F5, [0, 1, 2], 2)
     txt = format_code(c).replace("gen 1", "gen 0")  # duplicate generator 0
     with pytest.raises(SizeConstraintError):
+        parse_code(txt)
+
+
+def test_parse_code_rejects_row_width_mismatch():
+    txt = "field p=3\ncode n=9 k=2 kind=explicit\nrow 1 0 1\nrow 0 1 1\n"
+    with pytest.raises(DegreeMismatchError):
         parse_code(txt)

@@ -187,6 +187,19 @@ def test_int_constant_embedding(f7g):
     assert (f7g.element(3) + 4).is_zero()
 
 
+def test_int_equality_agrees_with_hash(f7g):
+    a = F7.element(3)
+    assert a == 3 and hash(a) == hash(3)
+    assert len({a, 3}) == 1
+    assert {3: "int"}[a] == "int" and {a: "elem"}[3] == "elem"
+    # only the representative 0 <= n < p is equal
+    assert a != 10 and F7.element(-1) != -1
+    # elements of an extension that lie in the prime field follow the rule
+    two = f7g.gen() ** 3
+    assert two == 2 and len({two, 2}) == 1
+    assert f7g.gen() != 0 and f7g.gen() != f7g.gen().coeffs[1]
+
+
 # -- field axioms (property) ----------------------------------------------------
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdskit.codes import (
+    GENERIC_ORACLE_PRIME,
     SetTuple,
     explicit_code,
     generator_matrix,
@@ -27,10 +28,22 @@ from mdskit.errors import (
     WrongKindError,
 )
 from mdskit.fields import field_make
-from mdskit.linalg import rref, subspace_intersection_dim
+from mdskit.linalg import (
+    MatrixF,
+    ModPOps,
+    TableOps,
+    det,
+    eliminate,
+    kernel,
+    null_basis,
+    rank,
+    rref,
+    subspace_intersection_dim,
+)
 from mdskit.mdscheck import (
     CheckReport,
     _canonical_tuples,
+    _mds3_certificate,
     _pairings_of_six,
     exhaustive_code_search,
     is_mds,
@@ -167,13 +180,80 @@ def test_int_oracle_matches_library_gaussian():
                 tuple(rng.randrange(7) for _ in range(k)) for _ in range(w)
             ]
             spans.append(cols)
-            from mdskit.linalg import MatrixF
-
             mats.append(
                 MatrixF(F7, [[cols[j][i] for j in range(w)] for i in range(k)])
             )
         got = _int_span_intersection_dim(k, spans, 7)
         assert got == subspace_intersection_dim(mats)
+
+
+# -- the shared elimination routine against the oracle, backend by backend ------------
+
+
+def _int_matrix(data, q, max_rows=5, max_cols=6):
+    nr = data.draw(st.integers(1, max_rows))
+    nc = data.draw(st.integers(1, max_cols))
+    entry = st.integers(0, q - 1)
+    return data.draw(
+        st.lists(
+            st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr
+        )
+    )
+
+
+def _square(ints):
+    s = min(len(ints), len(ints[0]))
+    return [row[:s] for row in ints[:s]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_table_backend_matches_field_backend_and_int_oracle(data):
+    """rref, pivots, kernel, rank and det through the table backend equal
+    the FieldElement backend over GF(5), GF(13), GF(4) and GF(9), and the
+    from-scratch int oracle over the prime fields."""
+    field = data.draw(
+        st.sampled_from([F13, field_make(5), field_make(2, [2]), field_make(3, [2])])
+    )
+    ints = _int_matrix(data, field.order)
+    nc = len(ints[0])
+    m = MatrixF(field, [[field.from_int(v) for v in row] for row in ints])
+    red, pivots = rref(m)
+    ops = TableOps(field)
+    rows = [list(r) for r in ints]
+    got_pivots, _ = eliminate(rows, ops)
+    assert tuple(got_pivots) == pivots and rank(m) == len(pivots)
+    assert rows == [[e.to_int() for e in r] for r in red.rows]
+    assert null_basis(ints, nc, ops) == [[e.to_int() for e in v] for v in kernel(m)]
+    sq = _square(ints)
+    want_det = det(MatrixF(field, [[field.from_int(v) for v in r] for r in sq]))
+    assert eliminate([list(r) for r in sq], ops, reduced=False)[1] == want_det.to_int()
+    if field.D == 1:
+        want_rows, want_pivots = _int_rref(ints, field.p)
+        assert got_pivots == want_pivots and rows == want_rows
+        assert null_basis(ints, nc, ops) == _int_null_basis(ints, field.p)
+        assert want_det.is_zero() == (_int_rank(sq, field.p) < len(sq))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_modp_backend_matches_int_oracle(data):
+    """The mod-p backend against the int oracle, including the generic
+    oracle's prime above 2^31, and its determinant against the FieldElement
+    backend."""
+    p = data.draw(st.sampled_from([5, 13, GENERIC_ORACLE_PRIME]))
+    ints = _int_matrix(data, p)
+    ops = ModPOps(p)
+    rows = [list(r) for r in ints]
+    got_pivots, _ = eliminate(rows, ops)
+    want_rows, want_pivots = _int_rref(ints, p)
+    assert got_pivots == want_pivots and rows == want_rows
+    assert null_basis(ints, len(ints[0]), ops) == _int_null_basis(ints, p)
+    sq = _square(ints)
+    field = field_make(p)
+    d = eliminate([list(r) for r in sq], ops, reduced=False)[1]
+    assert d == det(MatrixF(field, sq)).to_int()
+    assert (d == 0) == (_int_rank(sq, p) < len(sq))
 
 
 # -- report formatting ------------------------------------------------------------
@@ -536,6 +616,36 @@ def test_search_k3_internal_path_matches_engine():
         if is_mds_ell(code, 3).ok:
             agree += 1
     assert res.count == agree
+
+
+def test_search_k4_certificate_matches_int_oracle():
+    """The stacked-normals certificate the search uses for k >= 4.
+
+    The one-information-set search for [5, 4] over GF(4) reaches it on
+    every block without a zero entry and keeps all 3^4 = 81 of them, as a
+    full is_mds_ell sweep over the 256 blocks does.  Systematic Reed-Solomon
+    [6, 4] codes over GF(7) pass and [7, 4] codes fail; the certificate must
+    agree with the int oracle on each.
+    """
+    res = exhaustive_code_search(5, 4, 4, budget=10**3, all_information_sets=False)
+    assert (res.count, res.candidates) == (81, 256)
+    ops = TableOps(F7)
+    rng = random.Random(4)
+    verdicts = []
+    for n in (6, 6, 7, 7):
+        tuples = [
+            t.sets for t in _canonical_tuples(n, 4, 3, 3) if generically_zero(t)
+        ]
+        g, _ = rref(generator_matrix(rs(F7, rng.sample(range(7), n), 4)))
+        cols = [tuple(g[i, j].to_int() for i in range(4)) for j in range(n)]
+        want = all(
+            _int_span_intersection_dim(4, [[cols[j] for j in a] for a in sets], 7)
+            == 0
+            for sets in tuples
+        )
+        assert _mds3_certificate(cols, 4, tuples, ops) == want
+        verdicts.append(want)
+    assert verdicts == [True, True, False, False]
 
 
 # -- randomized equivalence property --------------------------------------------------
