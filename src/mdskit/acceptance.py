@@ -91,7 +91,7 @@ BUDGET_SECONDS = {
     6: 600,
     7: 60,
     8: 600,
-    9: 600,
+    9: 60,
     10: 900,
     11: 120,
 }

@@ -22,13 +22,12 @@ from .errors import (
 from .fields import (
     FieldElement,
     FieldSpec,
-    field_make,
     format_element,
     format_field,
     parse_element,
     parse_field,
 )
-from .linalg import MatrixF, kernel, rank, subspace_intersection_dim
+from .linalg import MatrixF, ModPOps, intersection_dim, kernel, rank
 
 __all__ = [
     "CodeSpec",
@@ -286,19 +285,14 @@ def generic_intersection_dim(
     takes the majority verdict across trials (ties resolved toward the
     smaller dimension, which is the generic one).
     """
-    f = field_make(GENERIC_ORACLE_PRIME)
+    p = GENERIC_ORACLE_PRIME
+    ops = ModPOps(p)
     rng = random.Random((seed, tup.sets, tup.n, tup.k).__repr__())
     outcomes: Dict[int, int] = {}
     for _ in range(trials):
-        m = MatrixF(
-            f,
-            [
-                [rng.randrange(GENERIC_ORACLE_PRIME) for _ in range(tup.n)]
-                for _ in range(tup.k)
-            ],
-        )
-        mats = [m.submatrix(range(tup.k), a) for a in tup.sets]
-        d = subspace_intersection_dim(mats)
+        m = [[rng.randrange(p) for _ in range(tup.n)] for _ in range(tup.k)]
+        spans = [[[row[j] for row in m] for j in a] for a in tup.sets]
+        d = intersection_dim(spans, tup.k, ops)
         outcomes[d] = outcomes.get(d, 0) + 1
     best = max(outcomes.items(), key=lambda kv: (kv[1], -kv[0]))
     return best[0]

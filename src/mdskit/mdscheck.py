@@ -10,6 +10,9 @@ Decision paths implemented here:
   (unordered, since the test is symmetric), filters by the generic-zero
   predicate, and evaluates the block certificate determinant.  For three
   sets the enumeration is reduced to sizes <= k-1 after an MDS precheck.
+  The generator matrix is encoded once for the backend ``linalg.field_ops``
+  picks (ints mod p, index tables, or FieldElements for large fields) and
+  every certificate is eliminated in that encoding.
 * ``is_mds3_rs_fast``: Reed-Solomon fast paths: the six-point pairing
   determinants when k = 3, and the disjointness reduction followed by the
   product-polynomial matrix for general k.
@@ -50,9 +53,10 @@ from .fields import FieldElement, FieldSpec, field_of_order, prime_power
 from .linalg import (
     MatrixF,
     TableOps,
-    block_mds_matrix,
+    block_rows,
     det,
     eliminate,
+    field_ops,
     null_basis,
     rank,
     rref,
@@ -211,15 +215,18 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
         return _report(prop, False, base.tuples, t0, base.witness)
     if ell <= 2:
         return _report(prop, True, base.tuples, t0)
-    cap = code.k - 1 if ell == 3 else code.k
+    k = code.k
+    cap = k - 1 if ell == 3 else k
     g = generator_matrix(code)
+    ops = field_ops(code.field)
+    cols = [[ops.encode(a) for a in g.col(j)] for j in range(code.n)]
     count = 0
-    for tup in _canonical_tuples(code.n, code.k, ell, cap):
+    for tup in _canonical_tuples(code.n, k, ell, cap):
         if not generically_zero(tup):
             continue
         count += 1
-        m = block_mds_matrix(g, tup.sets)
-        if det(m).is_zero():
+        rows = block_rows(cols, k, tup.sets, ops)
+        if not eliminate(rows, ops, reduced=False)[1]:
             return _report(prop, False, count, t0, tup)
     return _report(prop, True, count, t0)
 
@@ -540,6 +547,8 @@ def exhaustive_code_search(
     """
     if prop != "mds3":
         raise WrongKindError(f"unsupported search property {prop!r}")
+    if not 1 <= k <= n:
+        raise SizeConstraintError(f"need 1 <= k <= n, got n={n} k={k}")
     if prime_power(q) is None:
         raise SizeConstraintError(f"{q} is not a prime power")
     w = n - k

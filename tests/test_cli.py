@@ -219,6 +219,20 @@ def test_search_non_prime_power_q_exits_2(capsys):
     assert "not a prime power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "nk",
+    [("3", "5"), ("3", "0"), ("-1", "2")],
+    ids=["k_above_n", "k_zero", "n_negative"],
+)
+def test_search_k_outside_1_to_n_exits_2(capsys, nk):
+    n, k = nk
+    rc = cli.main(["search", "--n", n, "--k", k, "--q", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "need 1 <= k <= n" in captured.err
+
+
 def test_search_budget_exits_3(capsys):
     rc = cli.main(["search", "--n", "6", "--k", "3", "--q", "4", "--budget", "10"])
     assert rc == 3

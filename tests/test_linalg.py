@@ -13,12 +13,20 @@ from mdskit.errors import (
     NotSquareError,
     SizeConstraintError,
 )
+from mdskit.codes import GENERIC_ORACLE_PRIME
 from mdskit.fields import field_make
 from mdskit.linalg import (
+    TABLE_ORDER_LIMIT,
+    FieldOps,
     MatrixF,
+    ModPOps,
+    TableOps,
     block_mds_matrix,
     det,
+    eliminate,
+    field_ops,
     kernel,
+    null_basis,
     rank,
     rref,
     solve,
@@ -126,6 +134,107 @@ def test_matmul_shape_check():
         a @ a
     with pytest.raises(FieldMismatchError):
         a @ MatrixF(F3, [[1], [1]])
+
+
+# -- the chosen backend against the FieldElement backend ----------------------------
+
+F9 = field_make(3, [2])
+F16 = field_make(2, [4])
+F81 = field_make(3, [4])  # above the table limit
+FP = field_make(GENERIC_ORACLE_PRIME)
+
+
+def test_field_ops_picks_backend_by_field():
+    assert F16.order <= TABLE_ORDER_LIMIT < F81.order
+    for field, backend in [
+        (F7, ModPOps), (FP, ModPOps), (F9, TableOps), (F16, TableOps), (F81, FieldOps),
+    ]:
+        assert type(field_ops(field)) is backend
+
+
+@st.composite
+def _matrices(draw, field):
+    """Random matrices, about half of them rank-deficient: a product of
+    factors of lower inner dimension, or rows copied or zeroed."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.integers(0, field.order - 1).map(field.from_int)
+
+    def block(r, c):
+        return MatrixF(field, [[draw(entry) for _ in range(c)] for _ in range(r)])
+
+    kind = draw(st.sampled_from(["random", "low-rank", "copied-rows"]))
+    if kind == "low-rank":
+        inner = draw(st.integers(0, max(0, min(nr, nc) - 1)))
+        if inner == 0:
+            return MatrixF.zeros(field, nr, nc)
+        return block(nr, inner) @ block(inner, nc)
+    m = block(nr, nc)
+    if kind == "copied-rows":
+        rows = list(m.rows)
+        for i in range(nr):
+            src = draw(st.integers(-1, nr - 1))
+            rows[i] = [field.zero] * nc if src < 0 else rows[src]
+        m = MatrixF(field, rows)
+    return m
+
+
+def _field_rref(rows, ops):
+    rows = [list(r) for r in rows]
+    pivots, _ = eliminate(rows, ops)
+    return rows, pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matrix_functions_match_field_backend(data):
+    """det, rank, rref, kernel, solve and subspace_intersection_dim through
+    the backend field_ops picks equal FieldOps elimination, over GF(7),
+    GF(9), GF(13), GF(16), the generic oracle prime and GF(81)."""
+    field = data.draw(st.sampled_from([F7, F9, F13, F16, FP, F81]))
+    m = data.draw(_matrices(field))
+    ops = FieldOps(field)
+    want_rows, want_pivots = _field_rref(m.rows, ops)
+    red, pivots = rref(m)
+    assert pivots == tuple(want_pivots)
+    assert red.rows == tuple(map(tuple, want_rows))
+    assert rank(m) == len(want_pivots)
+    assert kernel(m) == [tuple(v) for v in null_basis(m.rows, m.ncols, ops)]
+
+    s = min(m.nrows, m.ncols)
+    sq = m.submatrix(range(s), range(s))
+    assert det(sq) == eliminate([list(r) for r in sq.rows], ops, reduced=False)[1]
+
+    if data.draw(st.booleans()):  # consistent right-hand side
+        x = [field.from_int(data.draw(st.integers(0, field.order - 1)))
+             for _ in range(m.ncols)]
+        b = m.mul_vector(x)
+    else:
+        b = m.col(data.draw(st.integers(0, m.ncols - 1)))
+        b = tuple(e + field.one for e in b)
+    aug, piv = _field_rref([list(r) + [e] for r, e in zip(m.rows, b)], ops)
+    want = None
+    if not (piv and piv[-1] == m.ncols):
+        want = [field.zero] * m.ncols
+        for r, pc in enumerate(piv):
+            want[pc] = aug[r][m.ncols]
+        want = tuple(want)
+    assert solve(m, b) == want
+
+    subsets = data.draw(
+        st.lists(
+            st.lists(st.integers(0, m.ncols - 1), unique=True, max_size=m.ncols),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    bases = [m.submatrix(range(m.nrows), a) for a in subsets]
+    normals = [
+        v
+        for b in bases
+        for v in null_basis([b.col(j) for j in range(b.ncols)], m.nrows, ops)
+    ]
+    want_dim = m.nrows - len(_field_rref(normals, ops)[1])
+    assert subspace_intersection_dim(bases) == want_dim
 
 
 # -- subspace intersections -----------------------------------------------------

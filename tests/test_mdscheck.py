@@ -29,12 +29,12 @@ from mdskit.errors import (
 )
 from mdskit.fields import field_make
 from mdskit.linalg import (
+    FieldOps,
     MatrixF,
     ModPOps,
     TableOps,
-    det,
+    block_mds_matrix,
     eliminate,
-    kernel,
     null_basis,
     rank,
     rref,
@@ -218,15 +218,19 @@ def test_table_backend_matches_field_backend_and_int_oracle(data):
     ints = _int_matrix(data, field.order)
     nc = len(ints[0])
     m = MatrixF(field, [[field.from_int(v) for v in row] for row in ints])
-    red, pivots = rref(m)
+    fops = FieldOps(field)
+    red = [list(r) for r in m.rows]
+    pivots, _ = eliminate(red, fops)
     ops = TableOps(field)
     rows = [list(r) for r in ints]
     got_pivots, _ = eliminate(rows, ops)
-    assert tuple(got_pivots) == pivots and rank(m) == len(pivots)
-    assert rows == [[e.to_int() for e in r] for r in red.rows]
-    assert null_basis(ints, nc, ops) == [[e.to_int() for e in v] for v in kernel(m)]
+    assert got_pivots == pivots and rank(m) == len(pivots)
+    assert rows == [[e.to_int() for e in r] for r in red]
+    want_kernel = null_basis(m.rows, nc, fops)
+    assert null_basis(ints, nc, ops) == [[e.to_int() for e in v] for v in want_kernel]
     sq = _square(ints)
-    want_det = det(MatrixF(field, [[field.from_int(v) for v in r] for r in sq]))
+    sq_elems = [[field.from_int(v) for v in r] for r in sq]
+    want_det = eliminate(sq_elems, fops, reduced=False)[1]
     assert eliminate([list(r) for r in sq], ops, reduced=False)[1] == want_det.to_int()
     if field.D == 1:
         want_rows, want_pivots = _int_rref(ints, field.p)
@@ -252,8 +256,67 @@ def test_modp_backend_matches_int_oracle(data):
     sq = _square(ints)
     field = field_make(p)
     d = eliminate([list(r) for r in sq], ops, reduced=False)[1]
-    assert d == det(MatrixF(field, sq)).to_int()
+    sq_elems = [[field.element(v) for v in r] for r in sq]
+    assert d == eliminate(sq_elems, FieldOps(field), reduced=False)[1].to_int()
     assert (d == 0) == (_int_rank(sq, p) < len(sq))
+
+
+# -- the MDS(l) tuple loop against a per-tuple MatrixF reference --------------------
+
+
+def _is_mds_ell_reference(code, ell):
+    """is_mds_ell's (ok, tuples, witness), one block_mds_matrix per tuple,
+    eliminated with FieldElements."""
+    base = is_mds(code)
+    if not base.ok:
+        return False, base.tuples, base.witness
+    if ell <= 2:
+        return True, base.tuples, None
+    g = generator_matrix(code)
+    ops = FieldOps(code.field)
+    count = 0
+    cap = code.k - 1 if ell == 3 else code.k
+    for tup in _canonical_tuples(code.n, code.k, ell, cap):
+        if not generically_zero(tup):
+            continue
+        count += 1
+        rows = [list(r) for r in block_mds_matrix(g, tup.sets).rows]
+        if not eliminate(rows, ops, reduced=False)[1]:
+            return False, count, tup
+    return True, count, None
+
+
+# (l, k, n): the k = 1, 2 and n = k edges, and sizes where a scaled
+# Reed-Solomon code can fail MDS(3) at a tuple; the l = 4 sweeps grow fast
+# with n, so they stop where the reference takes about a second
+ELL_CASES = [
+    (3, 1, 1), (3, 1, 4), (3, 2, 2), (3, 2, 6), (3, 3, 3), (3, 3, 6), (3, 3, 7),
+    (3, 4, 4), (3, 4, 5), (4, 1, 3), (4, 2, 2), (4, 2, 5), (4, 3, 3), (4, 3, 4),
+]
+
+
+@pytest.mark.parametrize("q", [7, 9, 13])
+def test_is_mds_ell_matches_per_tuple_reference(q):
+    """Random codes: scaled Reed-Solomon codes (MDS, MDS(3) or not), half of
+    them with one column overwritten by another or by random entries (often
+    not MDS).  Verdict, tuple count and witness must equal the reference."""
+    field = {7: F7, 9: field_make(3, [2]), 13: F13}[q]
+    rng = random.Random(q)
+    for ell, k, n in ELL_CASES:
+        for _ in range(4):
+            vand = generator_matrix(rs(field, rng.sample(range(q), n), k))
+            scale = [field.from_int(rng.randrange(1, q)) for _ in range(n)]
+            rows = [[s * e for s, e in zip(scale, row)] for row in vand.rows]
+            if rng.random() < 0.5:
+                j, src = rng.randrange(n), rng.randrange(-1, n)
+                for row in rows:
+                    row[j] = row[src] if src >= 0 else field.from_int(rng.randrange(q))
+            m = MatrixF(field, rows)
+            if rank(m) < k:
+                continue
+            code = explicit_code(field, m)
+            rep = is_mds_ell(code, ell)
+            assert (rep.ok, rep.tuples, rep.witness) == _is_mds_ell_reference(code, ell)
 
 
 # -- report formatting ------------------------------------------------------------
