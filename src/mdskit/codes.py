@@ -207,8 +207,12 @@ def generically_zero(tup: SetTuple) -> bool:
     |A_i & A_j| + |A_m| <= k.
     """
     _check_tuple_sizes(tup)
-    k = tup.k
-    sets = [set(a) for a in tup.sets]
+    return _generically_zero(tup.sets, tup.k)
+
+
+def _generically_zero(sets: Sequence[Sequence[int]], k: int) -> bool:
+    """generically_zero on index sets already known to fit (n, k)."""
+    sets = [set(a) for a in sets]
     if len(sets) == 3:
         a1, a2, a3 = sets
         if a1 & a2 & a3:

@@ -12,18 +12,39 @@ modular reduction.  Products of sparse tower elements stay cheap even when
 the total degree runs into the thousands, which is the regime the deep
 binomial towers live in.
 
+Three arithmetic backends serve every computation on lists of field
+elements, here and in :mod:`mdskit.linalg`; :func:`field_ops` picks one from
+the field alone:
+
+* :class:`ModPOps` computes with ints modulo a prime; it serves every prime
+  field, of any size;
+* :class:`TableOps` computes with a small field's canonical indices through
+  the lookup tables its FieldSpec builds once; it serves extension fields of
+  order at most :data:`TABLE_ORDER_LIMIT`;
+* :class:`FieldOps` computes with FieldElements; it serves every other
+  extension field, including the deep towers.
+
+Each has an ``encode``/``decode`` pair to and from FieldElements, two row
+operations (subtract a multiple of one list from another, scale a list)
+and multiply, negate and inverse.  A polynomial over a field is a list of
+coefficients in its backend's encoding, and all polynomial arithmetic runs
+through those operations: the inverse of a tower element (extended Euclid
+modulo the minimal polynomial, over the level below) and the irreducibility
+test.
+
 Irreducibility of a supplied minimal polynomial is verified at construction
-time.  Over small fields the standard gcd test with iterated Frobenius is
-used.  Binomial levels x^d - g are additionally recognized as tower steps of
-a composed binomial y^t - c over the small field at the bottom of the chain,
-and certified through the classical criterion for irreducibility of
-binomials; that is the only verification that stays affordable once the
-field below is itself astronomically large.
+time.  Over small fields Ben-Or's test is used: gcd(x^(q^i) - x, f) = 1 for
+every i up to half the degree.  Binomial levels x^d - g are additionally
+recognized as tower steps of a composed binomial y^t - c over the small
+field at the bottom of the chain, and certified through the classical
+criterion for irreducibility of binomials; that is the only verification
+that stays affordable once the field below is itself astronomically large.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -50,6 +71,11 @@ __all__ = [
     "parse_field",
     "format_element",
     "parse_element",
+    "FieldOps",
+    "TableOps",
+    "ModPOps",
+    "TABLE_ORDER_LIMIT",
+    "field_ops",
 ]
 
 # deterministic witness set for Miller-Rabin below 2^64
@@ -57,6 +83,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # generic gcd-based irreducibility testing is refused above this field size
 _GENERIC_TEST_BITS = 128
+
+# Extension fields up to this order get lookup tables.  Building them costs
+# 2 q^2 FieldElement operations, once per FieldSpec: measured 1 ms at q = 9,
+# 30 ms at 49, 133 ms at 64, 169 ms at 81 and 4.2 s at 256, against 7-33 ms
+# for one 12 x 12 determinant over FieldElements at those orders.
+TABLE_ORDER_LIMIT = 64
 
 
 def is_prime(n: int) -> bool:
@@ -491,24 +523,26 @@ class FieldSpec:
             out[idx] = c
         return tuple(out)
 
-    # polynomial helpers over the base field, used by the recursive inverse;
-    # a polynomial is a list of coefficient tuples of the base field
-
     def _inv(self, c: Tuple[int, ...]) -> Tuple[int, ...]:
         if not any(c):
             raise DivisionByZeroError(f"zero has no inverse in {self!r}")
         if not self.dims:
             return (pow(c[0], -1, self.p),)
+        # c is a polynomial over the base field modulo the minimal polynomial
         base = self.base
         assert base is not None and self.mod_tail is not None
+        ops = field_ops(base)
         s = base.D
-        a = [tuple(c[j * s : (j + 1) * s]) for j in range(self.degree)]
-        modulus = list(self.mod_tail) + [base.one.coeffs]
-        u = _poly_inverse_mod(base, a, modulus)
+        a = [
+            ops.encode(FieldElement(base, c[j * s : (j + 1) * s]))
+            for j in range(self.degree)
+        ]
+        modulus = [ops.encode(FieldElement(base, t)) for t in self.mod_tail]
+        u = _poly_inverse_mod(ops, a, modulus + [ops.one])
         flat: List[int] = []
-        for j in range(self.degree):
-            flat.extend(u[j] if j < len(u) else base.zero.coeffs)
-        return tuple(flat)
+        for v in u:
+            flat.extend(ops.decode(v).coeffs)
+        return tuple(flat) + (0,) * (self.D - len(flat))
 
     # -- extension ------------------------------------------------------------
 
@@ -649,119 +683,238 @@ def _mult_order(a: FieldElement) -> int:
     return order
 
 
-# -- polynomial arithmetic over a field (lists of coefficient tuples) --------
+# -- elimination backends ----------------------------------------------------------
 
 
-def _p_trim(pol: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    while pol and not any(pol[-1]):
+class FieldOps:
+    """Entries are FieldElements of one field."""
+
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    def __init__(self, field: FieldSpec):
+        self.zero, self.one = field.zero, field.one
+
+    @staticmethod
+    def encode(a):
+        return a
+
+    decode = encode
+
+    @staticmethod
+    def inv(a):
+        return a.inverse()
+
+    @staticmethod
+    def sub_multiple(row, top, f, start):
+        out = row[:]
+        for j in range(start, len(row)):
+            b = top[j]
+            if b:  # a zero in the pivot row leaves the entry as it is
+                out[j] = row[j] - f * b
+        return out
+
+    @staticmethod
+    def scale(row, c, start):
+        out = row[:]
+        for j in range(start, len(row)):
+            if row[j]:
+                out[j] = c * row[j]
+        return out
+
+
+class TableOps:
+    """Entries are canonical indices of a small field; arithmetic is lookup."""
+
+    zero, one = 0, 1
+    encode = staticmethod(FieldElement.to_int)
+
+    def __init__(self, field: FieldSpec):
+        t = self.tables = field.index_tables()
+        self.neg, self.inv = t.neg.__getitem__, t.inv.__getitem__
+        self.decode = field.from_int
+
+    def mul(self, a, b):
+        return self.tables.mul[a][b]
+
+    def sub_multiple(self, row, top, f, start):
+        t = self.tables
+        add, times = t.add, t.mul[t.neg[f]]
+        out = row[:]
+        for j in range(start, len(row)):
+            b = top[j]
+            if b:
+                out[j] = add[row[j]][times[b]]
+        return out
+
+    def scale(self, row, c, start):
+        times = self.tables.mul[c]
+        out = row[:]
+        for j in range(start, len(row)):
+            out[j] = times[row[j]]
+        return out
+
+
+class ModPOps:
+    """Entries are ints modulo a prime p, kept in 0..p-1.  ``decode`` makes
+    elements of ``field``, the FieldSpec of GF(p), which callers that never
+    decode may omit."""
+
+    zero, one = 0, 1
+    encode = staticmethod(FieldElement.to_int)
+
+    def __init__(self, p: int, field: Optional[FieldSpec] = None):
+        self.p = p
+        self.field = field
+
+    def decode(self, a):
+        return FieldElement(self.field, (a,))
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def sub_multiple(self, row, top, f, start):
+        p = self.p
+        out = row[:]
+        for j in range(start, len(row)):
+            b = top[j]
+            if b:
+                out[j] = (row[j] - f * b) % p
+        return out
+
+    def scale(self, row, c, start):
+        p = self.p
+        out = row[:]
+        for j in range(start, len(row)):
+            out[j] = c * row[j] % p
+        return out
+
+
+def field_ops(field: FieldSpec):
+    """The backend for entries of this field: ints mod p for a prime field,
+    index tables for an extension field of order at most TABLE_ORDER_LIMIT,
+    FieldElements otherwise."""
+    if field.D == 1:
+        return ModPOps(field.p, field)
+    # the order is at least 2^D, so testing D first keeps p ** D from being
+    # computed for a deep tower
+    small = field.D < TABLE_ORDER_LIMIT.bit_length()
+    if small and field.order <= TABLE_ORDER_LIMIT:
+        return TableOps(field)
+    return FieldOps(field)
+
+
+# -- polynomial arithmetic over a field, through a backend -----------------------------
+#
+# A polynomial is a list of coefficients in a backend's encoding, lowest
+# degree first, trimmed so that its last entry is nonzero (zero is []).
+# Residues modulo a monic polynomial of degree d are instead padded to
+# length d; the monic modulus is given by its d low coefficients, its tail.
+
+
+def _p_trim(pol: list) -> list:
+    while pol and not pol[-1]:
         pol.pop()
     return pol
 
 
-def _p_sub(field: FieldSpec, a, b):
-    p = field.p
-    n = max(len(a), len(b))
-    z = field.zero.coeffs
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else z
-        y = b[i] if i < len(b) else z
-        out.append(tuple((u - v) % p for u, v in zip(x, y)))
+def _p_submul(ops, a: list, q: list, b: list) -> list:
+    """a - q*b."""
+    lb = len(b)
+    out = a + [ops.zero] * (len(q) + lb - 1 - len(a))
+    for i, c in enumerate(q):
+        if c:
+            out[i : i + lb] = ops.sub_multiple(out[i : i + lb], b, c, 0)
     return _p_trim(out)
 
 
-def _p_mul(field: FieldSpec, a, b):
-    if not a or not b:
-        return []
-    z = field.zero.coeffs
-    p = field.p
-    out = [z] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not any(ca):
-            continue
-        for j, cb in enumerate(b):
-            if not any(cb):
-                continue
-            prod = field._mul(ca, cb)
-            out[i + j] = tuple((u + v) % p for u, v in zip(out[i + j], prod))
-    return _p_trim(out)
-
-
-def _p_divmod(field: FieldSpec, a, b):
-    b = _p_trim(list(b))
-    if not b:
-        raise DivisionByZeroError("polynomial division by zero")
-    r = _p_trim(list(a))
+def _p_divmod(ops, a: list, b: list) -> Tuple[list, list]:
+    """Quotient and remainder of a by a nonzero trimmed b."""
     db = len(b) - 1
-    lead_inv = field._inv(b[-1])
-    q = [field.zero.coeffs] * max(0, len(r) - db)
-    p = field.p
-    while len(r) - 1 >= db and r:
+    lead_inv = ops.inv(b[-1])
+    r = _p_trim(list(a))
+    q = [ops.zero] * max(0, len(r) - db)
+    while len(r) > db:
         shift = len(r) - 1 - db
-        factor = field._mul(r[-1], lead_inv)
-        q[shift] = factor
-        for j in range(db + 1):
-            sub = field._mul(factor, b[j])
-            r[shift + j] = tuple(
-                (u - v) % p for u, v in zip(r[shift + j], sub)
-            )
+        f = q[shift] = ops.mul(r[-1], lead_inv)
+        r[shift:] = ops.sub_multiple(r[shift:], b, f, 0)
         _p_trim(r)
     return q, r
 
 
-def _p_powmod(field: FieldSpec, a, e: int, modulus):
-    result = [field.one.coeffs]
-    base = _p_divmod(field, a, modulus)[1]
-    while e:
-        if e & 1:
-            result = _p_divmod(field, _p_mul(field, result, base), modulus)[1]
-        base = _p_divmod(field, _p_mul(field, base, base), modulus)[1]
-        e >>= 1
-    return result
-
-
-def _p_gcd(field: FieldSpec, a, b):
-    a = _p_trim(list(a))
-    b = _p_trim(list(b))
+def _p_gcd(ops, a: list, b: list) -> list:
+    a, b = _p_trim(list(a)), _p_trim(list(b))
     while b:
-        a, b = b, _p_divmod(field, a, b)[1]
+        a, b = b, _p_divmod(ops, a, b)[1]
     return a
 
 
-def _poly_inverse_mod(field: FieldSpec, a, modulus):
-    """Inverse of a modulo a monic irreducible polynomial over field."""
+def _p_mulmod(ops, a: list, b: list, tail: list) -> list:
+    """a*b modulo the monic polynomial with this tail (Horner on a)."""
+    zero = ops.zero
+    out = [zero] * len(tail)
+    for c in reversed(a):
+        top = out[-1]
+        out = [zero] + out[:-1]
+        if top:  # x^d = -tail
+            out = ops.sub_multiple(out, tail, top, 0)
+        if c:
+            out = ops.sub_multiple(out, b, ops.neg(c), 0)
+    return out
+
+
+def _p_powmod(ops, a: list, e: int, tail: list) -> list:
+    """a^e (e >= 1) modulo the monic polynomial with this tail."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _p_mulmod(ops, out, out, tail)
+        if bit == "1":
+            out = _p_mulmod(ops, out, a, tail)
+    return out
+
+
+def _poly_inverse_mod(ops, a: list, modulus: list) -> list:
+    """Inverse of a modulo an irreducible polynomial (extended Euclid)."""
     r0, s0 = _p_trim(list(modulus)), []
-    r1, s1 = _p_trim(list(a)), [field.one.coeffs]
+    r1, s1 = _p_trim(list(a)), [ops.one]
     if not r1:
         raise DivisionByZeroError("zero has no inverse")
     while len(r1) > 1:
-        q, rem = _p_divmod(field, r0, r1)
+        q, rem = _p_divmod(ops, r0, r1)
         r0, r1 = r1, rem
-        s0, s1 = s1, _p_sub(field, s0, _p_mul(field, q, s1))
+        s0, s1 = s1, _p_submul(ops, s0, q, s1)
         if not r1:
             raise ReduciblePolynomialError(
                 "element shares a factor with the modulus"
             )
-    c_inv = field._inv(r1[0])
-    return _p_trim([field._mul(c, c_inv) for c in s1])
+    return ops.scale(s1, ops.inv(r1[0]), 0)
 
 
 def poly_is_irreducible(field: FieldSpec, coeffs: Sequence[FieldElement]) -> bool:
-    """gcd test: f of degree d is irreducible over GF(q) iff
-    gcd(x^(q^i) - x, f) = 1 for all 1 <= i <= d/2 (f monic, d >= 1)."""
-    d = len(coeffs) - 1
+    """Ben-Or's test: f of degree d is irreducible over GF(q) iff
+    gcd(x^(q^i) - x, f) = 1 for all 1 <= i <= d/2.  coeffs run low-to-high;
+    f is made monic first, and a polynomial of degree < 1 is not irreducible."""
+    ops = field_ops(field)
+    f = _p_trim([ops.encode(c) for c in coeffs])
+    d = len(f) - 1
     if d < 1:
         return False
     if d == 1:
         return True
-    f = [c.coeffs for c in coeffs]
+    tail = ops.scale(f[:-1], ops.inv(f[-1]), 0)
+    f = tail + [ops.one]
+    x = [ops.zero, ops.one] + [ops.zero] * (d - 2)
+    h = x
     q = field.order
-    x = [field.zero.coeffs, field.one.coeffs]
-    h = list(x)
     for _ in range(d // 2):
-        h = _p_powmod(field, h, q, f)
-        g = _p_gcd(field, _p_sub(field, h, x), f)
-        if len(g) != 1:
+        h = _p_powmod(ops, h, q, tail)
+        if len(_p_gcd(ops, f, ops.sub_multiple(h, x, ops.one, 1))) != 1:
             return False
     return True
 

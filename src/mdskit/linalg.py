@@ -4,16 +4,11 @@ One Gaussian-elimination routine, :func:`eliminate`, does every row
 reduction in mdskit.  It works on plain lists of rows through a backend
 with two row operations (subtract a multiple of the pivot row, scale a row;
 both from the pivot column on) and the multiply, negate and inverse that
-pivoting needs.  Three backends exist, each with an ``encode``/``decode``
-pair to and from FieldElements:
-
-* :class:`ModPOps` computes with ints modulo a prime; it serves every prime
-  field, of any size, and the generic oracle field;
-* :class:`TableOps` computes with a small field's canonical indices through
-  the lookup tables its FieldSpec builds once; it serves extension fields of
-  order at most :data:`TABLE_ORDER_LIMIT`;
-* :class:`FieldOps` computes with FieldElements; it serves every other
-  extension field, including the deep towers.
+pivoting needs.  The three backends live in :mod:`mdskit.fields` and are
+re-exported here: ints mod p (:class:`ModPOps`) for every prime field and
+the generic oracle field, index tables (:class:`TableOps`) for extension
+fields of order at most :data:`TABLE_ORDER_LIMIT`, and FieldElements
+(:class:`FieldOps`) for every other extension field.
 
 :func:`field_ops` picks the backend from the field alone, and ``det``,
 ``rank``, ``rref``, ``kernel``, ``solve`` and ``subspace_intersection_dim``
@@ -25,7 +20,6 @@ with a unit in the free position, so tests can compare bases literally.
 
 from __future__ import annotations
 
-import operator
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -34,7 +28,15 @@ from .errors import (
     NotSquareError,
     SizeConstraintError,
 )
-from .fields import FieldElement, FieldSpec
+from .fields import (
+    TABLE_ORDER_LIMIT,
+    FieldElement,
+    FieldOps,
+    FieldSpec,
+    ModPOps,
+    TableOps,
+    field_ops,
+)
 
 __all__ = [
     "MatrixF",
@@ -55,139 +57,6 @@ __all__ = [
     "block_mds_matrix",
     "block_rows",
 ]
-
-# Extension fields up to this order get lookup tables.  Building them costs
-# 2 q^2 FieldElement operations, once per FieldSpec: measured 1 ms at q = 9,
-# 30 ms at 49, 133 ms at 64, 169 ms at 81 and 4.2 s at 256, against 7-33 ms
-# for one 12 x 12 determinant over FieldElements at those orders.
-TABLE_ORDER_LIMIT = 64
-
-
-# -- backends ----------------------------------------------------------------------
-
-
-class FieldOps:
-    """Entries are FieldElements of one field."""
-
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-
-    def __init__(self, field: FieldSpec):
-        self.zero, self.one = field.zero, field.one
-
-    @staticmethod
-    def encode(a):
-        return a
-
-    decode = encode
-
-    @staticmethod
-    def inv(a):
-        return a.inverse()
-
-    @staticmethod
-    def sub_multiple(row, top, f, start):
-        out = row[:]
-        for j in range(start, len(row)):
-            b = top[j]
-            if b:  # a zero in the pivot row leaves the entry as it is
-                out[j] = row[j] - f * b
-        return out
-
-    @staticmethod
-    def scale(row, c, start):
-        out = row[:]
-        for j in range(start, len(row)):
-            if row[j]:
-                out[j] = c * row[j]
-        return out
-
-
-class TableOps:
-    """Entries are canonical indices of a small field; arithmetic is lookup."""
-
-    zero, one = 0, 1
-    encode = staticmethod(FieldElement.to_int)
-
-    def __init__(self, field: FieldSpec):
-        t = self.tables = field.index_tables()
-        self.neg, self.inv = t.neg.__getitem__, t.inv.__getitem__
-        self.decode = field.from_int
-
-    def mul(self, a, b):
-        return self.tables.mul[a][b]
-
-    def sub_multiple(self, row, top, f, start):
-        t = self.tables
-        add, times = t.add, t.mul[t.neg[f]]
-        out = row[:]
-        for j in range(start, len(row)):
-            b = top[j]
-            if b:
-                out[j] = add[row[j]][times[b]]
-        return out
-
-    def scale(self, row, c, start):
-        times = self.tables.mul[c]
-        out = row[:]
-        for j in range(start, len(row)):
-            out[j] = times[row[j]]
-        return out
-
-
-class ModPOps:
-    """Entries are ints modulo a prime p, kept in 0..p-1.  ``decode`` makes
-    elements of ``field``, the FieldSpec of GF(p), which callers that never
-    decode may omit."""
-
-    zero, one = 0, 1
-    encode = staticmethod(FieldElement.to_int)
-
-    def __init__(self, p: int, field: Optional[FieldSpec] = None):
-        self.p = p
-        self.field = field
-
-    def decode(self, a):
-        return FieldElement(self.field, (a,))
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def sub_multiple(self, row, top, f, start):
-        p = self.p
-        out = row[:]
-        for j in range(start, len(row)):
-            b = top[j]
-            if b:
-                out[j] = (row[j] - f * b) % p
-        return out
-
-    def scale(self, row, c, start):
-        p = self.p
-        out = row[:]
-        for j in range(start, len(row)):
-            out[j] = c * row[j] % p
-        return out
-
-
-def field_ops(field: FieldSpec):
-    """The backend for entries of this field: ints mod p for a prime field,
-    index tables for an extension field of order at most TABLE_ORDER_LIMIT,
-    FieldElements otherwise."""
-    if field.D == 1:
-        return ModPOps(field.p, field)
-    # the order is at least 2^D, so testing D first keeps p ** D from being
-    # computed for a deep tower
-    small = field.D < TABLE_ORDER_LIMIT.bit_length()
-    if small and field.order <= TABLE_ORDER_LIMIT:
-        return TableOps(field)
-    return FieldOps(field)
 
 
 def _encode_rows(ops, rows) -> List[list]:

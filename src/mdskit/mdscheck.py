@@ -39,9 +39,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .codes import (
     CodeSpec,
     SetTuple,
+    _generically_zero,
     explicit_code,
     generator_matrix,
-    generically_zero,
 )
 from .errors import (
     BudgetExceededError,
@@ -177,9 +177,12 @@ def _nondecreasing_profiles(total: int, ell: int, cap: int) -> Iterator[Tuple[in
     yield from rec(total, ell, 0)
 
 
-def _canonical_tuples(n: int, k: int, ell: int, cap: int) -> Iterator[SetTuple]:
-    """Unordered qualifying tuples: sizes nondecreasing, sets nondecreasing
-    within equal-size groups (the determinant tests are symmetric)."""
+def _canonical_tuples(
+    n: int, k: int, ell: int, cap: int
+) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """Unordered qualifying tuples of sorted index sets: sizes nondecreasing,
+    sets nondecreasing within equal-size groups (the determinant tests are
+    symmetric)."""
     total = (ell - 1) * k
     cap = min(cap, n)
     for profile in _nondecreasing_profiles(total, ell, cap):
@@ -190,8 +193,7 @@ def _canonical_tuples(n: int, k: int, ell: int, cap: int) -> Iterator[SetTuple]:
             for s, cnt in groups
         ]
         for parts in itertools.product(*choices):
-            sets = tuple(a for group in parts for a in group)
-            yield SetTuple(sets, n, k)
+            yield tuple(a for group in parts for a in group)
 
 
 # -- the definitional block-determinant check ----------------------------------------
@@ -221,13 +223,13 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
     ops = field_ops(code.field)
     cols = [[ops.encode(a) for a in g.col(j)] for j in range(code.n)]
     count = 0
-    for tup in _canonical_tuples(code.n, k, ell, cap):
-        if not generically_zero(tup):
+    for sets in _canonical_tuples(code.n, k, ell, cap):
+        if not _generically_zero(sets, k):
             continue
         count += 1
-        rows = block_rows(cols, k, tup.sets, ops)
+        rows = block_rows(cols, k, sets, ops)
         if not eliminate(rows, ops, reduced=False)[1]:
-            return _report(prop, False, count, t0, tup)
+            return _report(prop, False, count, t0, SetTuple(sets, code.n, k))
     return _report(prop, True, count, t0)
 
 
@@ -314,8 +316,13 @@ def _det_small(field: FieldSpec, rows: List[List[FieldElement]]) -> FieldElement
 def weak_reduce(tup: SetTuple) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
     """Strip elements shared by two sets, lowering k; returns disjoint sets
     and the reduced dimension.  Requires an empty triple intersection."""
-    sets = [set(a) for a in tup.sets]
-    k = tup.k
+    return _weak_reduce(tup.sets, tup.k)
+
+
+def _weak_reduce(
+    sets: Sequence[Sequence[int]], k: int
+) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    sets = [set(a) for a in sets]
     changed = True
     while changed:
         changed = False
@@ -390,17 +397,17 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
                     )
         return _report("mds3-rs", True, count, t0)
     ctx = _ProductMatrixContext(code)
-    for tup in _canonical_tuples(n, k, 3, k - 1):
-        if not generically_zero(tup):
+    for sets in _canonical_tuples(n, k, 3, k - 1):
+        if not _generically_zero(sets, k):
             continue
         count += 1
-        sets, k2 = weak_reduce(tup)
-        if any(len(s) >= k2 for s in sets) or k2 <= 0:
+        reduced, k2 = _weak_reduce(sets, k)
+        if any(len(s) >= k2 for s in reduced) or k2 <= 0:
             # a full-size set spans everything; the remaining union has at
             # most k2 columns, independent because the code is MDS
             continue
-        if not _product_matrix_det_nonzero(ctx, sets, k2):
-            return _report("mds3-rs", False, count, t0, tup)
+        if not _product_matrix_det_nonzero(ctx, reduced, k2):
+            return _report("mds3-rs", False, count, t0, SetTuple(sets, n, k))
     return _report("mds3-rs", True, count, t0)
 
 
@@ -559,9 +566,9 @@ def exhaustive_code_search(
     field = field_of_order(q)
     ops = TableOps(field)
     tuples = [
-        tup.sets
-        for tup in _canonical_tuples(n, k, 3, k - 1)
-        if generically_zero(tup)
+        sets
+        for sets in _canonical_tuples(n, k, 3, k - 1)
+        if _generically_zero(sets, k)
     ]
     placements = (
         list(itertools.combinations(range(n), k))

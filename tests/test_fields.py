@@ -1,6 +1,7 @@
 """Field tower arithmetic: frozen derived values, axioms, serialization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,20 @@ from mdskit.errors import (
     ReduciblePolynomialError,
 )
 from mdskit.fields import (
+    FieldElement,
+    FieldOps,
     FieldSpec,
     _binomial_irreducible,
     _mult_order,
+    _p_divmod,
+    _p_gcd,
+    _p_mulmod,
+    _p_powmod,
+    _p_submul,
+    _poly_inverse_mod,
     extend_binomial_chain,
     field_make,
+    field_ops,
     find_irreducible,
     format_element,
     format_field,
@@ -395,3 +405,146 @@ def test_chain_field_roundtrip_is_cheap():
     assert T.D == 8192
     back = parse_field(format_field(T))
     assert back == T
+
+
+# -- polynomial layer: independent oracles --------------------------------------
+
+
+def _mobius(n):
+    out, m = 1, n
+    for r in prime_factors(n):
+        m //= r
+        if m % r == 0:
+            return 0
+        out = -out
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,e,degrees",
+    [(2, 1, range(1, 11)), (3, 1, range(1, 8)), (2, 2, range(1, 6)),
+     (5, 1, range(1, 6)), (7, 1, range(1, 5)), (3, 2, range(1, 5))],
+)
+def test_irreducible_count_matches_gauss_formula(p, e, degrees):
+    f = field_make(p, [e] if e > 1 else [])
+    q = f.order
+    els = list(f.elements())
+    for d in degrees:
+        want = sum(_mobius(t) * q ** (d // t) for t in range(1, d + 1) if d % t == 0) // d
+        got = sum(
+            poly_is_irreducible(f, list(tail) + [f.one])
+            for tail in itertools.product(els, repeat=d)
+        )
+        assert got == want, f"GF({q}) degree {d}"
+
+
+def _has_monic_factor(f, poly, max_deg):
+    # trial division with FieldElement arithmetic by every monic polynomial
+    # of degree 1..max_deg
+    els = list(f.elements())
+    for dd in range(1, max_deg + 1):
+        for tail in itertools.product(els, repeat=dd):
+            den = list(tail) + [f.one]
+            num = list(poly)
+            while len(num) - 1 >= dd:
+                c = num[-1]
+                sh = len(num) - 1 - dd
+                for j in range(dd + 1):
+                    num[sh + j] = num[sh + j] - c * den[j]
+                num.pop()
+            if all(a.is_zero() for a in num):
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "p,e,d", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3), (7, 1, 4), (3, 2, 2)]
+)
+def test_find_irreducible_is_first_candidate_without_small_factor(p, e, d):
+    f = field_make(p, [e] if e > 1 else [])
+    els = list(f.elements())
+    # candidate order: constant term most significant, zero constant skipped
+    for tail in itertools.product(els[1:], *[els] * (d - 1)):
+        cand = list(tail) + [f.one]
+        if not _has_monic_factor(f, cand, d // 2):
+            break
+    assert find_irreducible(f, d) == cand
+
+
+# canonical indices of find_irreducible's result, pinned from the
+# coefficient-tuple implementation that preceded the backend one
+_PINNED_IRREDUCIBLES = {
+    (41, 1, 25): [1] + [0] * 22 + [1, 15, 1],
+    (59, 1, 25): [1] + [0] * 23 + [9, 1],
+    (5, 2, 9): [1, 0, 0, 0, 0, 0, 0, 1, 8, 1],
+    (5, 2, 13): [1] + [0] * 11 + [13, 1],
+    (3, 2, 4): [1, 0, 3, 1, 1],
+    (11, 1, 7): [1, 0, 0, 0, 0, 0, 3, 1],
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_PINNED_IRREDUCIBLES), ids=lambda k: "gf%d^%d-deg%d" % k
+)
+def test_find_irreducible_pinned(key):
+    p, e, d = key
+    f = field_make(p, [e] if e > 1 else [])
+    assert [c.to_int() for c in find_irreducible(f, d)] == _PINNED_IRREDUCIBLES[key]
+
+
+_F9 = F3.extend(2)
+_INVERSE_FIELDS = [
+    _F9,
+    field_make(3, [4]),  # GF(81): FieldElements, inverses over GF(3)
+    field_make(3, [2, 4]),  # GF(3^8): inverses over GF(9) tables
+    field_make(67, [25]),
+    extend_binomial_chain(_F9, _F9.from_int(4), 4, 2),  # GF(9^16)
+]
+
+
+def _random_poly(f, rng, n):
+    return [f.random_element(rng) for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(fi=st.integers(0, len(_INVERSE_FIELDS) - 1), seed=st.integers(0, 10**9))
+def test_inverse_and_backend_helpers_match_field_ops(fi, seed):
+    f = _INVERSE_FIELDS[fi]
+    rng = random.Random(seed)
+    a = f.random_element(rng)
+    if not a.is_zero():
+        assert a * a.inverse() == f.one
+    # the helpers f's inverse runs on, over its base field, through the
+    # chosen backend and through FieldElements
+    k = f.base
+    mod = f.mod_tail
+    tail = [FieldElement(k, t) for t in mod]
+    x = _random_poly(k, rng, rng.randrange(0, 2 * f.degree))
+    y = _random_poly(k, rng, rng.randrange(1, f.degree + 1))
+    y[-1] = k.one if y[-1].is_zero() else y[-1]
+    r = _random_poly(k, rng, f.degree)
+    s = _random_poly(k, rng, f.degree)
+    e = rng.randrange(1, 50)
+    results = []
+    for ops in (field_ops(k), FieldOps(k)):
+        enc = lambda pol: [ops.encode(c) for c in pol]  # noqa: E731
+        dec = lambda pol: [ops.decode(c) for c in pol]  # noqa: E731
+        t = enc(tail)
+        qu, re = _p_divmod(ops, enc(x), enc(y))
+        out = [dec(qu), dec(re), dec(_p_submul(ops, enc(x), enc(r), enc(y)))]
+        out.append(dec(_p_gcd(ops, enc(x), enc(y))))
+        out.append(dec(_p_mulmod(ops, enc(r), enc(s), t)))
+        out.append(dec(_p_powmod(ops, enc(r), e, t)))
+        if any(r):
+            out.append(dec(_poly_inverse_mod(ops, enc(r), t + [ops.one])))
+        results.append(out)
+    assert results[0] == results[1]
+    qu, re = results[0][:2]
+    # x = qu * y + re, checked with FieldElement arithmetic
+    prod = [k.zero] * max(len(x), len(qu) + len(y) - 1, len(re))
+    for i, c in enumerate(qu):
+        for j, d in enumerate(y):
+            prod[i + j] = prod[i + j] + c * d
+    for i, c in enumerate(re):
+        prod[i] = prod[i] + c
+    assert prod[: len(x)] == x and all(c.is_zero() for c in prod[len(x):])

@@ -276,7 +276,8 @@ def _is_mds_ell_reference(code, ell):
     ops = FieldOps(code.field)
     count = 0
     cap = code.k - 1 if ell == 3 else code.k
-    for tup in _canonical_tuples(code.n, code.k, ell, cap):
+    for sets in _canonical_tuples(code.n, code.k, ell, cap):
+        tup = SetTuple(sets, code.n, code.k)
         if not generically_zero(tup):
             continue
         count += 1
@@ -389,9 +390,9 @@ def test_canonical_matches_ordered_enumeration_after_dedup():
         if generically_zero(tup):
             ordered.add(tuple(sorted(tup.sets)))
     canon = {
-        tuple(sorted(t.sets))
+        tuple(sorted(t))
         for t in _canonical_tuples(6, 3, 3, 2)
-        if generically_zero(t)
+        if generically_zero(SetTuple(t, 6, 3))
     }
     assert canon == ordered
 
@@ -477,7 +478,9 @@ def test_product_matrix_certificate_per_tuple_k4():
         code = rs(field, pts, 4)
         ctx = _ProductMatrixContext(code)
         tuples = [
-            t for t in _canonical_tuples(8, 4, 3, 3) if generically_zero(t)
+            SetTuple(t, 8, 4)
+            for t in _canonical_tuples(8, 4, 3, 3)
+            if generically_zero(SetTuple(t, 8, 4))
         ]
         for tup in rng.sample(tuples, 400):
             sets, k2 = weak_reduce(tup)
@@ -697,7 +700,9 @@ def test_search_k4_certificate_matches_int_oracle():
     verdicts = []
     for n in (6, 6, 7, 7):
         tuples = [
-            t.sets for t in _canonical_tuples(n, 4, 3, 3) if generically_zero(t)
+            t
+            for t in _canonical_tuples(n, 4, 3, 3)
+            if generically_zero(SetTuple(t, n, 4))
         ]
         g, _ = rref(generator_matrix(rs(F7, rng.sample(range(7), n), 4)))
         cols = [tuple(g[i, j].to_int() for i in range(4)) for j in range(n)]
