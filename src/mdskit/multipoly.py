@@ -5,12 +5,18 @@ symbolic expansion of the three-row pairing determinant in a degree-one
 twist parameter, multivariate division, and Buchberger's algorithm with
 Gebauer-Moeller pair pruning.  Everything here works coefficient-exactly
 over F_p; evaluation may land in any extension of F_p.
-"""
+
+`SparsePoly` keeps its terms in a dict keyed by exponent tuples.  Division
+(`gb_reduce`) and Buchberger (`buchberger`) pack each monomial into one int
+for the chosen order (`MonomialOrder.packing`) on entry and unpack on exit:
+comparing, multiplying and dividing monomials there are int comparison,
+addition and one subtract-and-mask, and the working heaps hold plain ints."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -19,6 +25,7 @@ from .errors import (
     ArityMismatchError,
     BudgetExceededError,
     CharacteristicMismatchError,
+    DegreeMismatchError,
     DegreeTooHighError,
     EvenCharacteristicError,
     NotPrimeError,
@@ -29,9 +36,6 @@ from .fields import FieldElement, is_prime
 __all__ = [
     "MonomialOrder",
     "SparsePoly",
-    "poly_add",
-    "poly_mul",
-    "poly_eval",
     "parse_poly",
     "gamma_expand_det3",
     "verify_claim_q_identity",
@@ -48,12 +52,21 @@ Exp = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class MonomialOrder:
+    """lex or degrevlex over the variables in `perm` order (the first most
+    significant; default 0..v-1).  It owns the packed encoding that
+    gb_reduce and buchberger run on (`packing`)."""
+
     kind: str = "degrevlex"
     perm: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.kind not in ("lex", "degrevlex"):
             raise WrongKindError(f"unknown monomial order {self.kind!r}")
+        perm = self.perm
+        if perm is not None and sorted(perm) != list(range(len(perm))):
+            raise WrongKindError(
+                f"perm {perm!r} is not a permutation of 0..{len(perm) - 1}"
+            )
 
     def key(self, exp: Exp):
         """Comparable key; larger key means larger monomial."""
@@ -61,6 +74,74 @@ class MonomialOrder:
         if self.kind == "lex":
             return e
         return (sum(e), tuple(-x for x in reversed(e)))
+
+    def packing(self, v: int, cap: int) -> "MonomialPacking":
+        """The packing of monomials in v variables whose exponents and total
+        degree are at most `cap` (rounded up to one less than a power of
+        two)."""
+        if self.perm is not None and len(self.perm) != v:
+            raise ArityMismatchError(
+                f"order over {len(self.perm)} variables, polynomials in {v}"
+            )
+        return MonomialPacking(self, v, cap)
+
+
+class MonomialPacking:
+    """Monomials of one order and arity as single ints.
+
+    Every field is `bits` wide and its top bit is a guard that a valid
+    monomial keeps clear, so a field holds 0..cap with cap = 2**(bits-1)-1.
+    With the order's variables e'_0, e'_1, ... (e'_k = e[perm[k]]):
+
+    - lex: field v-1-k holds e'_k, so e'_0 is most significant;
+    - degrevlex: field v holds the total degree and field k holds
+      cap - e'_k, so the int is base + deg*W**v - sum e'_k*W**k (W =
+      2**bits), ordered by the key (deg, -e'_{v-1}, ..., -e'_0).
+
+    Either way a monomial is base + sum e_i*units[i], so int order is the
+    monomial order, the product of a and b is a + b - base, and a divides b
+    iff (b - a + base) & mask == 0.  A product of two valid monomials that
+    exceeds cap anywhere sets a guard bit: that is how overflow shows.
+    """
+
+    __slots__ = ("cap", "units", "base", "mask", "_shifts", "_flip")
+
+    def __init__(self, order: MonomialOrder, v: int, cap: int):
+        bits = max(cap, 0).bit_length() + 1
+        self.cap = cap = (1 << (bits - 1)) - 1
+        perm = order.perm if order.perm is not None else range(v)
+        units = [0] * v
+        shifts = [0] * v
+        if order.kind == "lex":
+            fields, self.base, self._flip = v, 0, 0
+            for k, i in enumerate(perm):
+                shifts[i] = bits * (v - 1 - k)
+                units[i] = 1 << shifts[i]
+        else:
+            fields, self._flip = v + 1, cap
+            self.base = sum(cap << (bits * k) for k in range(v))
+            for k, i in enumerate(perm):
+                shifts[i] = bits * k
+                units[i] = (1 << (bits * v)) - (1 << shifts[i])
+        self.units = tuple(units)
+        self._shifts = tuple(shifts)
+        self.mask = sum((cap + 1) << (bits * k) for k in range(fields))
+
+    def encode(self, exp: Exp) -> int:
+        """Pack an exponent vector within cap; a product of two such
+        vectors may exceed it, and then sets a guard bit."""
+        return self.base + sum(map(operator.mul, exp, self.units))
+
+    def decode(self, m: int) -> Exp:
+        # cap - x == cap ^ x for 0 <= x <= cap
+        cap, flip = self.cap, self._flip
+        return tuple(((m >> s) & cap) ^ flip for s in self._shifts)
+
+    def encode_terms(self, terms: Dict[Exp, int]) -> Dict[int, int]:
+        return {self.encode(e): c for e, c in terms.items()}
+
+    def decode_terms(self, terms: Dict[int, int]) -> Dict[Exp, int]:
+        return {self.decode(m): c for m, c in terms.items()}
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -86,10 +167,21 @@ class SparsePoly:
                         raise ArityMismatchError(
                             f"exponent vector of length {len(exp)}, expected {v}"
                         )
+                    if exp and min(exp) < 0:
+                        raise DegreeMismatchError(f"negative exponent in {exp!r}")
                     clean[tuple(exp)] = c
         self.terms = clean
 
     # constructors
+
+    @classmethod
+    def _from_clean(cls, p: int, v: int, terms: Dict[Exp, int]) -> "SparsePoly":
+        """Wrap a term dict that arithmetic on valid polynomials produced
+        (nonnegative exponent tuples of length v, coefficients 1..p-1),
+        skipping the validation that __init__ gives outside input."""
+        out = cls.__new__(cls)
+        out.p, out.v, out.terms = p, v, terms
+        return out
 
     @classmethod
     def zero(cls, p: int, v: int) -> "SparsePoly":
@@ -144,12 +236,12 @@ class SparsePoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return SparsePoly(p, self.v, out)
+        return SparsePoly._from_clean(p, self.v, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(
+        return SparsePoly._from_clean(
             self.p, self.v, {e: self.p - c for e, c in self.terms.items()}
         )
 
@@ -178,7 +270,7 @@ class SparsePoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return SparsePoly(p, self.v, out)
+        return SparsePoly._from_clean(p, self.v, out)
 
     __rmul__ = __mul__
 
@@ -293,18 +385,6 @@ def parse_poly(text: str, p: int, v: int) -> SparsePoly:
         key = tuple(exp)
         terms[key] = (terms.get(key, 0) + coeff) % p
     return SparsePoly(p, v, {e: c for e, c in terms.items() if c})
-
-
-def poly_add(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    return f + g
-
-
-def poly_mul(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    return f * g
-
-
-def poly_eval(f: SparsePoly, point: Sequence):
-    return f.eval(point)
 
 
 # -- the gamma-expansion of the pairing determinant ----------------------------------
@@ -440,26 +520,73 @@ def verify_claim_q_identity(p: int = 7) -> bool:
 
 
 # -- multivariate division and Buchberger ----------------------------------------------
+#
+# Both run on packed monomials (MonomialPacking): a polynomial is a dict from
+# packed monomial to coefficient, and a divisor is (lead - base, 1/lc, tail)
+# with every tail monomial stored as its offset from the lead, so that one
+# int addition moves it under the quotient monomial.
 
 
-def _exp_divides(a: Exp, b: Exp) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class _Overflow(Exception):
+    """A product left the packing's range."""
 
 
-def _exp_lcm(a: Exp, b: Exp) -> Exp:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _run_packed(order: MonomialOrder, v: int, cap: int, run):
+    """(packing, run(packing)) for the packing that holds `cap`, made one
+    bit per field wider after each overflow; `run` starts from scratch."""
+    pk = order.packing(v, cap)
+    while True:
+        try:
+            return pk, run(pk)
+        except _Overflow:
+            pk = order.packing(v, 2 * pk.cap + 1)
 
 
-def _exp_sub(a: Exp, b: Exp) -> Exp:
-    return tuple(x - y for x, y in zip(a, b))
+def _divisor(terms: Dict[int, int], pk: MonomialPacking, p: int):
+    lead = max(terms)
+    tail = [(m - lead, c) for m, c in terms.items() if m != lead]
+    return lead - pk.base, pow(terms[lead], -1, p), tail
 
 
-def _exp_add(a: Exp, b: Exp) -> Exp:
-    return tuple(x + y for x, y in zip(a, b))
+def _reduce(work: Dict[int, int], divisors, p: int, mask: int) -> Dict[int, int]:
+    """Normal form of the packed polynomial `work` (consumed) modulo the
+    divisors, the first divisor whose lead divides a term reducing it.
 
-
-def _neg_key(k):
-    return tuple(-x if isinstance(x, int) else _neg_key(x) for x in k)
+    Terms are consumed highest-first off a lazy-deletion heap of negated
+    packed monomials, so large quotient chains stay near
+    O(steps * log terms) instead of rescanning the working dict per step.
+    A new monomial with a guard bit set is an overflow: it is checked where
+    it would enter `work`, so no overflowed int ever meets a valid one."""
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    remainder: Dict[int, int] = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue  # stale entry: the term cancelled earlier
+        for adj, inv, tail in divisors:
+            if not (m - adj) & mask:
+                break
+        else:
+            remainder[m] = c
+            continue
+        factor = c * inv % p
+        for off, gc in tail:
+            t = m + off
+            old = work.get(t)
+            if old is None:
+                if t & mask:
+                    raise _Overflow
+                heapq.heappush(heap, -t)
+                work[t] = -factor * gc % p
+            else:
+                s = (old - factor * gc) % p
+                if s:
+                    work[t] = s
+                else:
+                    del work[t]
+    return remainder
 
 
 def gb_reduce(
@@ -468,55 +595,22 @@ def gb_reduce(
     """Full normal form of f modulo the basis: no remainder term is
     divisible by any basis lead term.
 
-    Terms are consumed highest-first off a lazy-deletion heap, so large
-    quotient chains stay near O(steps * log terms) instead of rescanning
-    the whole working dict per step."""
-    if not basis:
-        return f
+    f and the basis are packed once for the order, in fields that hold
+    their largest total degree; a reduction that outgrows them (possible
+    under lex, never under degrevlex) starts again one bit per field
+    wider."""
+    polys = [g for g in basis if not g.is_zero()]
+    for g in polys:
+        f._check(g)
     p = f.p
-    leads = [(g.lead(order), g) for g in basis if not g.is_zero()]
-    key = order.key
-    work = dict(f.terms)
-    heap = [(_neg_key(key(e)), e) for e in work]
-    heapq.heapify(heap)
-    remainder: Dict[Exp, int] = {}
-    while heap:
-        _, exp = heapq.heappop(heap)
-        c = work.pop(exp, None)
-        if c is None:
-            continue  # stale entry: the term cancelled earlier
-        hit = None
-        for (lexp, lc), g in leads:
-            if _exp_divides(lexp, exp):
-                hit = (lexp, lc, g)
-                break
-        if hit is None:
-            remainder[exp] = c
-            continue
-        lexp, lc, g = hit
-        shift = _exp_sub(exp, lexp)
-        factor = (c * pow(lc, -1, p)) % p
-        for ge, gc in g.terms.items():
-            e = _exp_add(ge, shift)
-            if e == exp:
-                continue
-            s = (work.get(e, 0) - factor * gc) % p
-            if s:
-                if e not in work:
-                    heapq.heappush(heap, (_neg_key(key(e)), e))
-                work[e] = s
-            else:
-                work.pop(e, None)
-    return SparsePoly(p, f.v, remainder)
+    cap = max(g.degree() for g in [f, *polys])
 
+    def run(pk: MonomialPacking) -> Dict[int, int]:
+        divisors = [_divisor(pk.encode_terms(g.terms), pk, p) for g in polys]
+        return _reduce(pk.encode_terms(f.terms), divisors, p, pk.mask)
 
-def _s_poly(f: SparsePoly, g: SparsePoly, order: MonomialOrder) -> SparsePoly:
-    p = f.p
-    (fe, fc), (ge, gc) = f.lead(order), g.lead(order)
-    l = _exp_lcm(fe, ge)
-    mf = SparsePoly(p, f.v, {_exp_sub(l, fe): pow(fc, -1, p)})
-    mg = SparsePoly(p, g.v, {_exp_sub(l, ge): pow(gc, -1, p)})
-    return mf * f - mg * g
+    pk, remainder = _run_packed(order, f.v, cap, run)
+    return SparsePoly._from_clean(p, f.v, pk.decode_terms(remainder))
 
 
 def buchberger(
@@ -526,106 +620,136 @@ def buchberger(
 ) -> List[SparsePoly]:
     """Reduced Groebner basis via Buchberger with Gebauer-Moeller pair
     pruning; raises BudgetExceeded when more than `budget` S-pairs get
-    processed."""
+    processed.
+
+    Runs packed from start to finish, in fields that hold twice the
+    generators' largest total degree; an lcm or product that outgrows them
+    starts the run again one bit per field wider."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise WrongKindError("need at least one nonzero generator")
     for g in gens:
         gens[0]._check(g)
     p, v = gens[0].p, gens[0].v
+    pk, basis = _run_packed(
+        order,
+        v,
+        2 * max(g.degree() for g in gens),
+        lambda pk: _buchberger(gens, pk, p, budget),
+    )
+    return [SparsePoly._from_clean(p, v, pk.decode_terms(g)) for g in basis]
 
-    basis: List[SparsePoly] = []
-    lead_of: List[Exp] = []
-    pairs: List[Tuple[Exp, int, int]] = []  # (lcm, i, j)
 
-    def add_element(h: SparsePoly):
-        h = h * pow(h.lead(order)[1], -1, p)  # monic
+def _buchberger(
+    gens: Sequence[SparsePoly], pk: MonomialPacking, p: int, budget: int
+) -> List[Dict[int, int]]:
+    """The reduced basis as monic packed polynomials sorted by lead; raises
+    _Overflow when a monomial outgrows the packing."""
+    mask, base = pk.mask, pk.base
+    basis: List[Dict[int, int]] = []  # monic packed polynomials
+    divisors = []
+    leads: List[int] = []
+    lead_exps: List[Exp] = []  # the leads unpacked, for lcms
+    # heap of (lcm, -serial, i, j): the least lcm first and, among equal
+    # lcms, the pair made last
+    pairs: List[Tuple[int, int, int, int]] = []
+    serial = itertools.count()
+
+    def divides(a: int, b: int) -> bool:
+        return not (b - a + base) & mask
+
+    def add_element(h: Dict[int, int]):
+        lt_h = max(h)
+        inv = pow(h[lt_h], -1, p)
+        h = {m: c * inv % p for m, c in h.items()}
         new_idx = len(basis)
-        lt_h = h.lead(order)[0]
-        # Gebauer-Moeller update of the pair set
-        cand = []
-        for i in range(new_idx):
-            cand.append((_exp_lcm(lead_of[i], lt_h), i))
-        # drop new pairs whose lcm is properly divisible by another new lcm
-        keep: List[Tuple[Exp, int]] = []
-        for l, i in cand:
-            dominated = False
-            for l2, i2 in cand:
-                if i2 == i:
-                    continue
-                if _exp_divides(l2, l) and l2 != l:
-                    dominated = True
-                    break
-            if not dominated:
-                keep.append((l, i))
-        # among equal lcms keep one representative
-        by_lcm: Dict[Exp, int] = {}
-        for l, i in keep:
-            if l not in by_lcm:
-                by_lcm[l] = i
-        # coprime criterion
-        new_pairs = []
-        for l, i in by_lcm.items():
-            if l == _exp_add(lead_of[i], lt_h):
+        exp_h = pk.decode(lt_h)
+        lcms = []
+        for e in lead_exps:
+            l = pk.encode(tuple(map(max, e, exp_h)))
+            if l & mask:
+                raise _Overflow
+            lcms.append(l)
+        # Gebauer-Moeller update of the pair set: drop new pairs whose lcm
+        # is properly divisible by another new lcm, keep one pair per lcm,
+        # and drop pairs with coprime leads
+        by_lcm: Dict[int, int] = {}
+        for i, l in enumerate(lcms):
+            if l in by_lcm or any(l2 != l and divides(l2, l) for l2 in lcms):
                 continue
-            new_pairs.append((l, i, new_idx))
+            by_lcm[l] = i
+        new_pairs = [
+            (l, i) for l, i in by_lcm.items() if l != leads[i] + lt_h - base
+        ]
         # chain criterion on old pairs
-        survivors = []
-        for l, i, j in pairs:
-            if (
-                _exp_divides(lt_h, l)
-                and _exp_lcm(lead_of[i], lt_h) != l
-                and _exp_lcm(lead_of[j], lt_h) != l
-            ):
-                continue
-            survivors.append((l, i, j))
-        pairs.clear()
-        pairs.extend(survivors)
-        pairs.extend(new_pairs)
+        pairs[:] = [
+            (l, s, i, j)
+            for l, s, i, j in pairs
+            if not divides(lt_h, l) or lcms[i] == l or lcms[j] == l
+        ]
+        heapq.heapify(pairs)
+        for l, i in new_pairs:
+            heapq.heappush(pairs, (l, -next(serial), i, new_idx))
         basis.append(h)
-        lead_of.append(lt_h)
+        divisors.append(_divisor(h, pk, p))
+        leads.append(lt_h)
+        lead_exps.append(exp_h)
+
+    def s_poly(l: int, i: int, j: int) -> Dict[int, int]:
+        out: Dict[int, int] = {}
+        for k, sign in ((i, 1), (j, -1)):
+            shift = l - leads[k]
+            for m, c in basis[k].items():
+                if m == leads[k]:
+                    continue
+                t = m + shift
+                if t & mask:
+                    raise _Overflow
+                s = (out.get(t, 0) + sign * c) % p
+                if s:
+                    out[t] = s
+                else:
+                    del out[t]
+        return out
 
     for g in gens:
-        r = gb_reduce(g, basis, order)
-        if not r.is_zero():
+        r = _reduce(pk.encode_terms(g.terms), divisors, p, mask)
+        if r:
             add_element(r)
 
     processed = 0
     while pairs:
-        pairs.sort(key=lambda t: order.key(t[0]), reverse=True)
-        l, i, j = pairs.pop()
+        l, _, i, j = heapq.heappop(pairs)
         processed += 1
         if processed > budget:
             raise BudgetExceededError(
                 f"Buchberger pair budget {budget} exhausted"
             )
-        r = gb_reduce(_s_poly(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
+        r = _reduce(s_poly(l, i, j), divisors, p, mask)
+        if r:
             add_element(r)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    minimal: List[SparsePoly] = []
-    for idx, g in enumerate(basis):
-        lt_g = lead_of[idx]
-        if any(
-            _exp_divides(lead_of[other], lt_g)
-            for other in range(len(basis))
-            if other != idx
-            and (
-                lead_of[other] != lt_g or other < idx
-            )
-        ):
-            continue
-        minimal.append(g)
+    # (of two equal leads the first stays)
+    n = len(basis)
+    minimal = [
+        idx
+        for idx in range(n)
+        if not any(
+            divides(leads[other], leads[idx])
+            for other in range(n)
+            if other != idx and (leads[other] != leads[idx] or other < idx)
+        )
+    ]
     # fully reduce each element against the others
-    reduced: List[SparsePoly] = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = gb_reduce(g, others, order)
-        if not r.is_zero():
-            r = r * pow(r.lead(order)[1], -1, p)
-            reduced.append(r)
-    reduced.sort(key=lambda g: order.key(g.lead(order)[0]))
+    reduced: List[Dict[int, int]] = []
+    for idx in minimal:
+        others = [divisors[o] for o in minimal if o != idx]
+        r = _reduce(dict(basis[idx]), others, p, mask)
+        if r:
+            inv = pow(r[max(r)], -1, p)
+            reduced.append({m: c * inv % p for m, c in r.items()})
+    reduced.sort(key=max)
     return reduced
 
 
@@ -665,21 +789,30 @@ def verify_groebner_claim(budget: int = 10**6) -> str:
     return "inconclusive"
 
 
+def _reduce_product(
+    factors: Sequence[SparsePoly],
+    basis: Sequence[SparsePoly],
+    order: MonomialOrder = DEGREVLEX,
+) -> SparsePoly:
+    """Normal form of the product of the factors modulo a Groebner basis of
+    that order, one factor at a time: NF(a*b) = NF(NF(a)*b) holds exactly
+    because the normal form modulo a Groebner basis is unique, and it keeps
+    every intermediate reduced instead of expanding the whole product."""
+    out = gb_reduce(factors[0], basis, order)
+    for f in factors[1:]:
+        out = gb_reduce(out * f, basis, order)
+    return out
+
+
 def verify_char2_membership(budget: int = 10**6) -> bool:
     """Membership of prod_{i<j}(x_i+x_j) * prod_{i<j<k}(x_i+x_j+x_k) in
     the ideal of all four twist coefficients over F_2, slots x + t*x^3."""
     p = 2
     gens = list(pairing_ideal(p, power=3))
-    target = SparsePoly.const(p, 6, 1)
-    for i, j in itertools.combinations(range(6), 2):
-        target = target * (
-            SparsePoly.variable(p, 6, i) + SparsePoly.variable(p, 6, j)
-        )
-    for i, j, k in itertools.combinations(range(6), 3):
-        target = target * (
-            SparsePoly.variable(p, 6, i)
-            + SparsePoly.variable(p, 6, j)
-            + SparsePoly.variable(p, 6, k)
-        )
+    x = [SparsePoly.variable(p, 6, i) for i in range(6)]
+    factors = [x[i] + x[j] for i, j in itertools.combinations(range(6), 2)]
+    factors += [
+        x[i] + x[j] + x[k] for i, j, k in itertools.combinations(range(6), 3)
+    ]
     gb = buchberger(gens, DEGREVLEX, budget)
-    return gb_reduce(target, gb, DEGREVLEX).is_zero()
+    return _reduce_product(factors, gb, DEGREVLEX).is_zero()

@@ -7,18 +7,23 @@ list at two unrelated primes, which pins every integer coefficient in
 the range the data uses.
 """
 
+import heapq
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdskit.errors import (
     ArityMismatchError,
     BudgetExceededError,
     CharacteristicMismatchError,
+    DegreeMismatchError,
     DegreeTooHighError,
     EvenCharacteristicError,
     NotPrimeError,
+    WrongKindError,
 )
 from mdskit.fields import field_make
 from mdskit.linalg import MatrixF, det
@@ -27,15 +32,13 @@ from mdskit.multipoly import (
     LEX,
     MonomialOrder,
     SparsePoly,
+    _reduce_product,
     buchberger,
     certificate_polys,
     gamma_expand_det3,
     gb_reduce,
     pairing_ideal,
     parse_poly,
-    poly_add,
-    poly_eval,
-    poly_mul,
     verify_claim_q_identity,
     verify_groebner_claim,
 )
@@ -51,6 +54,93 @@ def rand_poly(rng, p, v, max_deg=3, max_terms=4):
         exp = tuple(rng.randrange(max_deg + 1) for _ in range(v))
         terms[exp] = rng.randrange(p)
     return SparsePoly(p, v, terms)
+
+
+# -- the tuple-keyed oracle ------------------------------------------------------------
+#
+# gb_reduce and buchberger run on packed monomials.  These references keep
+# exponent tuples, compare them through MonomialOrder.key and divide them
+# field by field, as plainly as possible; the Buchberger reference has no pair
+# criteria.
+
+
+def tuple_reduce(f, basis, order):
+    """Full normal form of f, each term reduced by the first basis element
+    whose lead divides it; terms come highest-first off a lazy-deletion
+    heap keyed by the negated order key."""
+
+    def neg_key(k):
+        return tuple(-x if isinstance(x, int) else neg_key(x) for x in k)
+
+    p = f.p
+    leads = [(g.lead(order), g) for g in basis if not g.is_zero()]
+    work = dict(f.terms)
+    heap = [(neg_key(order.key(e)), e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        _, exp = heapq.heappop(heap)
+        c = work.pop(exp, None)
+        if c is None:
+            continue  # stale entry: the term cancelled earlier
+        for (lexp, lc), g in leads:
+            if all(x <= y for x, y in zip(lexp, exp)):
+                break
+        else:
+            remainder[exp] = c
+            continue
+        shift = tuple(x - y for x, y in zip(exp, lexp))
+        factor = c * pow(lc, -1, p) % p
+        for ge, gc in g.terms.items():
+            e = tuple(x + y for x, y in zip(ge, shift))
+            if e == exp:
+                continue
+            s = (work.get(e, 0) - factor * gc) % p
+            if s:
+                if e not in work:
+                    heapq.heappush(heap, (neg_key(order.key(e)), e))
+                work[e] = s
+            else:
+                work.pop(e, None)
+    return SparsePoly(p, f.v, remainder)
+
+
+def tuple_s_poly(f, g, order):
+    p = f.p
+    (fe, fc), (ge, gc) = f.lead(order), g.lead(order)
+    lcm = tuple(max(x, y) for x, y in zip(fe, ge))
+    mf = SparsePoly(p, f.v, {tuple(x - y for x, y in zip(lcm, fe)): pow(fc, -1, p)})
+    mg = SparsePoly(p, g.v, {tuple(x - y for x, y in zip(lcm, ge)): pow(gc, -1, p)})
+    return mf * f - mg * g
+
+
+def tuple_buchberger(gens, order):
+    """Reduced Groebner basis: every S-pair but those of coprime leads
+    (Buchberger's first criterion), then minimal, interreduced, monic and
+    sorted by lead."""
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        a, b = basis[i].lead(order)[0], basis[j].lead(order)[0]
+        if not any(x and y for x, y in zip(a, b)):
+            continue
+        r = tuple_reduce(tuple_s_poly(basis[i], basis[j], order), basis, order)
+        if not r.is_zero():
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(r)
+    minimal = []
+    for g in sorted(basis, key=lambda g: order.key(g.lead(order)[0])):
+        lead = g.lead(order)[0]
+        if not any(
+            all(x <= y for x, y in zip(m.lead(order)[0], lead)) for m in minimal
+        ):
+            minimal.append(g)
+    reduced = []
+    for g in minimal:
+        r = tuple_reduce(g, [m for m in minimal if m is not g], order)
+        reduced.append(r * pow(r.lead(order)[1], -1, r.p))
+    return sorted(reduced, key=lambda g: order.key(g.lead(order)[0]))
 
 
 # -- stored combiner data --------------------------------------------------------------
@@ -141,8 +231,8 @@ def test_ring_axioms_randomized():
             f = rand_poly(rng, p, 3)
             g = rand_poly(rng, p, 3)
             h = rand_poly(rng, p, 3)
-            assert poly_add(f, g) == poly_add(g, f)
-            assert poly_mul(f, g) == poly_mul(g, f)
+            assert f + g == g + f
+            assert f * g == g * f
             assert (f + g) + h == f + (g + h)
             assert (f * g) * h == f * (g * h)
             assert f * (g + h) == f * g + f * h
@@ -165,9 +255,11 @@ def test_scalar_and_power_arithmetic():
 
 def test_mixed_characteristic_and_arity_rejected():
     with pytest.raises(CharacteristicMismatchError):
-        poly_add(SparsePoly.const(5, 2, 1), SparsePoly.const(7, 2, 1))
+        SparsePoly.const(5, 2, 1) + SparsePoly.const(7, 2, 1)
     with pytest.raises(ArityMismatchError):
-        poly_mul(SparsePoly.const(5, 2, 1), SparsePoly.const(5, 3, 1))
+        SparsePoly.const(5, 2, 1) * SparsePoly.const(5, 3, 1)
+    with pytest.raises(ArityMismatchError):
+        gb_reduce(SparsePoly.const(5, 2, 1), [SparsePoly.const(5, 3, 1)])
     with pytest.raises(NotPrimeError):
         SparsePoly.const(6, 2, 1)
 
@@ -254,6 +346,29 @@ def test_monomial_order_conventions():
     assert rev.key((0, 0, 1)) > rev.key((1, 0, 0))
     with pytest.raises(Exception):
         MonomialOrder("grlex")
+
+
+def test_monomial_order_rejects_non_permutation():
+    # (0, 0, 2) would give x1 and x2 the same place and two monomials one key
+    for perm in ((0, 0, 2), (1, 2, 3), (0, 2)):
+        with pytest.raises(WrongKindError):
+            MonomialOrder("lex", perm=perm)
+
+
+def test_perm_length_must_match_arity():
+    x, y, z = (V(5, i, 3) for i in range(3))
+    short = MonomialOrder("lex", perm=(1, 0))
+    with pytest.raises(ArityMismatchError):
+        gb_reduce(x * y + z, [x - z], short)
+    with pytest.raises(ArityMismatchError):
+        buchberger([x - z, y], short)
+
+
+def test_negative_exponent_rejected():
+    with pytest.raises(DegreeMismatchError):
+        SparsePoly(7, 2, {(-1, 0): 1})
+    # a cancelled term is dropped before it is looked at, as for arity
+    assert SparsePoly(7, 2, {(-1, 0): 7}).is_zero()
 
 
 # -- twist expansion -------------------------------------------------------------------
@@ -365,10 +480,8 @@ def test_buchberger_invariants_randomized():
         # defining property: generators and S-pairs collapse to zero
         for g in gens:
             assert gb_reduce(g, gb, order).is_zero()
-        from mdskit.multipoly import _s_poly
-
         for a, b in itertools.combinations(gb, 2):
-            assert gb_reduce(_s_poly(a, b, order), gb, order).is_zero()
+            assert gb_reduce(tuple_s_poly(a, b, order), gb, order).is_zero()
         # random ideal combinations collapse to zero
         combo = SparsePoly.zero(p, 3)
         for g in gens:
@@ -402,6 +515,105 @@ def test_repeated_pair_collapses_expansion():
     assert all(q.is_zero() for q in gamma_expand_det3(slots))
 
 
+ORDERS = {
+    "degrevlex": lambda v, perm: DEGREVLEX,
+    "lex": lambda v, perm: LEX,
+    "permuted lex": lambda v, perm: MonomialOrder("lex", perm=perm),
+}
+
+
+@st.composite
+def reduction_cases(draw):
+    p = draw(st.sampled_from([2, 5, 7]))
+    v = draw(st.integers(1, 6))
+    order = ORDERS[draw(st.sampled_from(sorted(ORDERS)))](
+        v, tuple(draw(st.permutations(range(v))))
+    )
+
+    def poly(min_terms, max_terms, degree):
+        exps = st.tuples(*[st.integers(0, degree)] * v).filter(
+            lambda e: sum(e) <= degree
+        )
+        coeffs = st.integers(1, p - 1)
+        terms = st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms)
+        return SparsePoly(p, v, draw(terms))
+
+    # generators of degree at most 2 keep the reference Buchberger quick
+    gens = [poly(1, 4, 2) for _ in range(draw(st.integers(2, 3)))]
+    return order, gens, poly(0, 8, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_cases())
+def test_packed_reduction_and_buchberger_match_tuple_oracle(case):
+    order, gens, f = case
+    # any basis: the same first-divisor rule gives the same remainder
+    assert gb_reduce(f, gens, order) == tuple_reduce(f, gens, order)
+    gb = buchberger(gens, order, budget=10**4)
+    assert gb == tuple_buchberger(gens, order)
+    assert gb_reduce(f, gb, order) == tuple_reduce(f, gb, order)
+    g = gens[0] + f
+    assert _reduce_product([f, g], gb, order) == tuple_reduce(f * g, gb, order)
+
+
+def _spy_packings(monkeypatch):
+    caps = []
+    packing = MonomialOrder.packing
+
+    def spy(self, v, cap):
+        pk = packing(self, v, cap)
+        caps.append(pk.cap)
+        return pk
+
+    monkeypatch.setattr(MonomialOrder, "packing", spy)
+    return caps
+
+
+def test_overflow_repacks_wider(monkeypatch):
+    # x > y under lex, so x - y^3 turns x^4*y into y^13: an exponent above
+    # every input exponent and above the first packing's cap
+    p = 5
+    x, y, z = (V(p, i, 3) for i in range(3))
+    caps = _spy_packings(monkeypatch)
+    rem = gb_reduce(x**4 * y, [x - y**3], LEX)
+    assert rem == y**13 == tuple_reduce(x**4 * y, [x - y**3], LEX)
+    assert caps[0] < 13 <= caps[-1]
+    caps.clear()
+    gb = buchberger([x - y**3, x**3], LEX)
+    assert gb == [y**9, x - y**3] == tuple_buchberger([x - y**3, x**3], LEX)
+    assert caps[0] < 9 <= caps[-1]
+    # degrevlex never raises a degree in a reduction, but an lcm of two
+    # leads can outgrow twice the generators' degree
+    caps.clear()
+    gens = [y**3 + x * z, y**3 + x * y + y**2]
+    gb = buchberger(gens, DEGREVLEX)
+    assert gb == tuple_buchberger(gens, DEGREVLEX)
+    assert len(caps) == 2 and caps[0] < caps[1]
+
+
+def test_buchberger_pair_count_pinned():
+    # the pair order and the Gebauer-Moeller criteria decide how many
+    # S-pairs the budget counts; these counts were taken from the
+    # tuple-keyed implementation
+    cyclic4 = [
+        parse_poly(s, 7, 4)
+        for s in (
+            "x1 + x2 + x3 + x4",
+            "x1*x2 + x2*x3 + x3*x4 + x4*x1",
+            "x1*x2*x3 + x2*x3*x4 + x3*x4*x1 + x4*x1*x2",
+            "x1*x2*x3*x4 + 6",
+        )
+    ]
+    for gens, order, pairs in (
+        (_claim_ideal_gens(), DEGREVLEX, 18),
+        (cyclic4, DEGREVLEX, 8),
+        (cyclic4, LEX, 16),
+    ):
+        with pytest.raises(BudgetExceededError):
+            buchberger(gens, order, budget=pairs - 1)
+        buchberger(gens, order, budget=pairs)
+
+
 # -- the certified memberships ---------------------------------------------------------
 
 
@@ -431,24 +643,22 @@ def test_char2_membership():
 @pytest.mark.slow
 def test_char2_dropped_factor_remainder_reported():
     # with one factor removed, membership is not asserted either way: the
-    # remainder is computed, reported through its size, and must be a
-    # fixed point of reduction
+    # remainder is computed factor by factor, reported through its size,
+    # and must be a fixed point of reduction
     from mdskit.multipoly import pairing_ideal as pi
 
     p = 2
     gens = list(pi(p, power=3))
     gb = buchberger(gens, DEGREVLEX, budget=10**6)
-    target = SparsePoly.const(p, 6, 1)
     factors = [
         V(p, i) + V(p, j) for i, j in itertools.combinations(range(6), 2)
     ] + [
         V(p, i) + V(p, j) + V(p, k)
         for i, j, k in itertools.combinations(range(6), 3)
     ]
-    for f in factors[1:]:
-        target = target * f
-    rem = gb_reduce(target, gb, DEGREVLEX)
-    again = gb_reduce(rem, gb, DEGREVLEX)
-    assert again == rem
+    rem = _reduce_product(factors[1:], gb, DEGREVLEX)
+    assert gb_reduce(rem, gb, DEGREVLEX) == rem
+    # the normal form is unique: another factor order reduces to it again
+    assert _reduce_product(factors[:0:-1], gb, DEGREVLEX) == rem
     # proper ideal: the constant does not reduce away
     assert not gb_reduce(SparsePoly.const(p, 6, 1), gb, DEGREVLEX).is_zero()
