@@ -4,22 +4,16 @@ Also shows what a failure looks like: a code with a repeated column gets
 caught by the MDS precheck with the offending column set as witness.
 """
 
-from mdskit import (
-    construct_k3_n3,
-    construct_k3_n4,
-    explicit_code,
-    field_make,
-    is_mds3_rs_fast,
-    is_mds_ell,
-)
+from mdskit import explicit_code, field_make, is_mds3_rs_fast, is_mds_ell
+from mdskit.constructions import build_k3_n3, build_k3_n4
 
 
 def main():
-    code = construct_k3_n4(7)
+    code = build_k3_n4(7).code
     print(f"k3-n4: [{code.n},{code.k}] over a field of order {code.field.order}")
     print(" ", is_mds3_rs_fast(code).to_line())
 
-    code = construct_k3_n3(7)
+    code = build_k3_n3(7).code
     print(f"k3-n3: [{code.n},{code.k}] over a field of order {code.field.order}")
     print(" ", is_mds3_rs_fast(code).to_line())
     # the generic block-determinant path agrees, just slower

@@ -2,9 +2,10 @@
 
 Each criterion function builds everything it needs from scratch, runs the
 exhaustive or randomized verification it names, and returns a
-CriterionResult; run_suite prints one line per criterion and reports
-overall success.  Wall-clock budgets are recorded per criterion so callers
-can flag regressions.
+CriterionResult.  SUITES groups the criteria by name for `mdskit
+acceptance`, which prints one line per criterion and reports overall
+success.  Wall-clock budgets are recorded per criterion so callers can flag
+regressions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .applications import TensorCodeSpec, duality_test, mr_check, single_parity_code
 from .codes import (
@@ -58,7 +59,6 @@ __all__ = [
     "SUITES",
     "BUDGET_SECONDS",
     "run_criterion",
-    "run_suite",
 ]
 
 
@@ -466,15 +466,3 @@ SUITES: Dict[str, Tuple[int, ...]] = {
 
 def run_criterion(number: int) -> CriterionResult:
     return _CRITERIA[number]()
-
-
-def run_suite(name: str, emit=print) -> List[CriterionResult]:
-    """Run a named suite, emitting one line per criterion."""
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    results = []
-    for number in SUITES[name]:
-        res = run_criterion(number)
-        emit(res.line())
-        results.append(res)
-    return results

@@ -37,11 +37,6 @@ __all__ = [
     "BuildResult",
     "CONSTRUCTION_NAMES",
     "construct",
-    "construct_k3_n4",
-    "construct_k3_n3",
-    "construct_k4",
-    "construct_k5_weak",
-    "construct_general",
     "build_k3_n4",
     "build_k3_n3",
     "build_k4",
@@ -132,6 +127,7 @@ def is_sidon(elements: Sequence[FieldElement]) -> bool:
     return True
 
 
+# distinct pairs only, unlike is_sidon: in characteristic 2 every a + a is 0
 def _pair_sums_distinct(elements: Sequence[FieldElement]) -> bool:
     seen = set()
     for a, b in itertools.combinations(elements, 2):
@@ -188,10 +184,6 @@ def build_k3_n4(n: int) -> BuildResult:
     )
 
 
-def construct_k3_n4(n: int) -> CodeSpec:
-    return build_k3_n4(n).code
-
-
 def build_k3_n3(n: int) -> BuildResult:
     """[n,3] code with a square twist whose cube-root extension keeps the
     field at cubic size; points come from a sum-free coordinate slice."""
@@ -238,10 +230,6 @@ def build_k3_n3(n: int) -> BuildResult:
     )
 
 
-def construct_k3_n3(n: int) -> CodeSpec:
-    return build_k3_n3(n).code
-
-
 # -- the linear-twist families ---------------------------------------------------------
 
 
@@ -274,10 +262,6 @@ def build_k4(n: int, k: int = 4) -> BuildResult:
             "alpha": [a.to_int() for a in alphas],
         },
     )
-
-
-def construct_k4(n: int, k: int = 4) -> CodeSpec:
-    return build_k4(n, k).code
 
 
 def build_k5_weak(
@@ -347,15 +331,6 @@ def build_k5_weak(
     return BuildResult(code, prov)
 
 
-def construct_k5_weak(
-    n: int,
-    k: int = 5,
-    extension_degree: Optional[int] = None,
-    char2_bch: bool = False,
-) -> CodeSpec:
-    return build_k5_weak(n, k, extension_degree, char2_bch).code
-
-
 # -- the tower construction for every order --------------------------------------------
 
 
@@ -423,16 +398,6 @@ def build_general(
             "b_points": [b.to_int() for b in b_points],
         },
     )
-
-
-def construct_general(
-    n: int,
-    k: int,
-    ell: int,
-    per_level_degree: Optional[int] = None,
-    coeff_budget: int = 10**7,
-) -> CodeSpec:
-    return build_general(n, k, ell, per_level_degree, coeff_budget).code
 
 
 def construct(params: ConstructionParams) -> BuildResult:

@@ -19,10 +19,13 @@ Decision paths implemented here:
 * ``lb_witness_projective``: the projective-point distinctness witness
   behind the field-size lower bound.
 * ``exhaustive_code_search``: complete systematic enumeration at tiny
-  parameters, with elements as canonical indices.  Minors, the row-space
-  key and the intersection certificate (the stacked normal vectors of the
-  sets, in closed form at k = 3) all run through the table backend of
-  ``linalg``'s one elimination routine.
+  parameters, with elements as canonical indices.  An MDS(3) code is MDS,
+  so every k-subset of coordinates is an information set and each code is
+  met exactly once as [I | X] with the identity on the first k
+  coordinates; the reported candidates still count all C(n, k) placements
+  that this one stands for.  Minors and the intersection certificate (the
+  stacked normal vectors of the sets, in closed form at k = 3) run through
+  the table backend of ``linalg``'s one elimination routine.
 
 All reports carry the number of tuples examined (determinant evaluations
 or point comparisons performed) and wall time.
@@ -539,18 +542,20 @@ def exhaustive_code_search(
     q: int,
     prop: str = "mds3",
     budget: int = 10**6,
-    all_information_sets: bool = True,
     exemplar_cap: int = 10,
 ) -> SearchResult:
     """Count MDS(3) codes among all systematic [n, k] codes over GF(q).
 
-    Enumerates generator matrices with identity columns at a chosen
-    information set and a free block elsewhere; with all_information_sets,
-    sweeps every placement and deduplicates row spaces by their reduced row
-    echelon form.  The per-candidate decision is exact: the code must be MDS
-    (free block totally nonsingular) and every filtered (k-1)-sized triple
-    must have trivial span intersection.  Elements are canonical indices
-    and all elimination runs through the table backend of linalg.
+    An MDS(3) code is MDS, so every k-subset of its coordinates is an
+    information set: the code has exactly one generator matrix [I | X] with
+    the identity on coordinates 0..k-1.  Enumerating X at that one
+    information set meets each code once, as a sweep over all C(n, k)
+    placements with row-space deduplication would; `candidates` counts that
+    sweep's space, C(n, k) * q^(k(n-k)).  The per-candidate decision is
+    exact: the code must be MDS (X totally nonsingular) and every filtered
+    (k-1)-sized triple must have trivial span intersection.  Elements are
+    canonical indices and all elimination runs through the table backend of
+    linalg.
     """
     if prop != "mds3":
         raise WrongKindError(f"unsupported search property {prop!r}")
@@ -570,37 +575,18 @@ def exhaustive_code_search(
         for sets in _canonical_tuples(n, k, 3, k - 1)
         if _generically_zero(sets, k)
     ]
-    placements = (
-        list(itertools.combinations(range(n), k))
-        if all_information_sets
-        else [tuple(range(k))]
-    )
-    seen = set()
+    identity = [tuple(int(t == i) for t in range(k)) for i in range(k)]
     count = 0
     exemplars: List[CodeSpec] = []
-    candidates = 0
-    for info in placements:
-        rest = [j for j in range(n) if j not in info]
-        candidates += q ** (k * w)
-        for x_rows in _nonsingular_blocks(k, w, q, ops):
-            cols = [None] * n
-            for i, pos in enumerate(info):
-                cols[pos] = tuple(1 if t == i else 0 for t in range(k))
-            for j, pos in enumerate(rest):
-                cols[pos] = tuple(x_rows[i][j] for i in range(k))
-            if not _mds3_certificate(cols, k, tuples, ops):
-                continue
-            rows = [[cols[j][i] for j in range(n)] for i in range(k)]
-            eliminate(rows, ops)
-            key = tuple(map(tuple, rows))
-            if key in seen:
-                continue
-            seen.add(key)
-            count += 1
-            if len(exemplars) < exemplar_cap:
-                elems = [[field.from_int(v) for v in row] for row in rows]
-                exemplars.append(explicit_code(field, elems))
-    return SearchResult(count, exemplars, candidates)
+    for x_rows in _nonsingular_blocks(k, w, q, ops):
+        cols = identity + [tuple(row[j] for row in x_rows) for j in range(w)]
+        if not _mds3_certificate(cols, k, tuples, ops):
+            continue
+        count += 1
+        if len(exemplars) < exemplar_cap:
+            elems = [[field.from_int(c[i]) for c in cols] for i in range(k)]
+            exemplars.append(explicit_code(field, elems))
+    return SearchResult(count, exemplars, comb(n, k) * q ** (k * w))
 
 
 def _mds3_certificate(cols, k, tuples, ops) -> bool:

@@ -70,7 +70,12 @@ class MonomialOrder:
 
     def key(self, exp: Exp):
         """Comparable key; larger key means larger monomial."""
-        e = exp if self.perm is None else tuple(exp[i] for i in self.perm)
+        perm = self.perm
+        if perm is not None and len(perm) != len(exp):
+            raise ArityMismatchError(
+                f"order over {len(perm)} variables, monomial in {len(exp)}"
+            )
+        e = exp if perm is None else tuple(exp[i] for i in perm)
         if self.kind == "lex":
             return e
         return (sum(e), tuple(-x for x in reversed(e)))

@@ -16,8 +16,6 @@ from mdskit.constructions import (
     build_k4,
     build_k5_weak,
     construct,
-    construct_general,
-    construct_k3_n4,
     greedy_sidon,
     is_sidon,
     six_sum_free,
@@ -226,10 +224,10 @@ def test_determinism():
     a = format_code(build_k5_weak(6).code)
     b = format_code(build_k5_weak(6).code)
     assert a == b
-    c = format_code(construct_general(4, 2, 2, per_level_degree=5))
-    d = format_code(construct_general(4, 2, 2, per_level_degree=5))
+    c = format_code(build_general(4, 2, 2, per_level_degree=5).code)
+    d = format_code(build_general(4, 2, 2, per_level_degree=5).code)
     assert c == d
-    assert format_code(construct_k3_n4(6)) == format_code(construct_k3_n4(6))
+    assert format_code(build_k3_n4(6).code) == format_code(build_k3_n4(6).code)
 
 
 @pytest.mark.parametrize(

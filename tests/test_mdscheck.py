@@ -8,6 +8,7 @@ tuple.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from mdskit.errors import (
     SizeConstraintError,
     WrongKindError,
 )
-from mdskit.fields import field_make
+from mdskit.fields import field_make, field_of_order
 from mdskit.linalg import (
     FieldOps,
     MatrixF,
@@ -664,12 +665,46 @@ def test_search_rejects_unknown_property():
         exhaustive_code_search(4, 2, 3, prop="mds9")
 
 
+def _row_space_key(code):
+    g, _ = rref(generator_matrix(code))
+    return tuple(tuple(v.to_int() for v in row) for row in g.rows)
+
+
+def sweep_mds3_row_spaces(n, k, q):
+    """Row spaces of MDS(3) codes met by the full sweep: identity columns at
+    every information set, every block over GF(q) elsewhere, each code
+    decided by is_mds_ell and deduplicated by its RREF."""
+    F = field_of_order(q)
+    found = set()
+    for info in itertools.combinations(range(n), k):
+        rest = [j for j in range(n) if j not in info]
+        for flat in itertools.product(range(q), repeat=k * (n - k)):
+            rows = [[F.from_int(0)] * n for _ in range(k)]
+            for i, pos in enumerate(info):
+                rows[i][pos] = F.from_int(1)
+            for i in range(k):
+                for j, pos in enumerate(rest):
+                    rows[i][pos] = F.from_int(flat[i * (n - k) + j])
+            code = explicit_code(F, rows)
+            if is_mds_ell(code, 3).ok:
+                found.add(_row_space_key(code))
+    return found
+
+
+@pytest.mark.parametrize("n,k,q", [(4, 3, 4), (5, 4, 4), (5, 3, 3)])
+def test_search_one_information_set_matches_full_sweep(n, k, q):
+    res = exhaustive_code_search(n, k, q, budget=10**4)
+    want = sweep_mds3_row_spaces(n, k, q)
+    assert res.count == len(want)
+    assert res.candidates == math.comb(n, k) * q ** (k * (n - k))
+    for ex in res.exemplars:
+        assert _row_space_key(ex) in want
+
+
 def test_search_k3_internal_path_matches_engine():
-    # single information set keeps this quick; the count must match a sweep
-    # of the block-determinant engine over the same candidates
-    res = exhaustive_code_search(
-        5, 3, 2, budget=10**4, all_information_sets=False
-    )
+    # the count must match a sweep of the block-determinant engine over the
+    # same candidates
+    res = exhaustive_code_search(5, 3, 2, budget=10**4)
     F2 = field_make(2)
     agree = 0
     for flat in itertools.product(range(2), repeat=6):
@@ -693,8 +728,8 @@ def test_search_k4_certificate_matches_int_oracle():
     [6, 4] codes over GF(7) pass and [7, 4] codes fail; the certificate must
     agree with the int oracle on each.
     """
-    res = exhaustive_code_search(5, 4, 4, budget=10**3, all_information_sets=False)
-    assert (res.count, res.candidates) == (81, 256)
+    res = exhaustive_code_search(5, 4, 4, budget=10**3)
+    assert (res.count, res.candidates) == (81, 1280)
     ops = TableOps(F7)
     rng = random.Random(4)
     verdicts = []

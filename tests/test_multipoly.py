@@ -362,6 +362,16 @@ def test_perm_length_must_match_arity():
         gb_reduce(x * y + z, [x - z], short)
     with pytest.raises(ArityMismatchError):
         buchberger([x - z, y], short)
+    # lead and format used to compare x1 and x2 only and call x1 the lead
+    f = parse_poly("x1 + x3^5", 5, 3)
+    with pytest.raises(ArityMismatchError):
+        f.lead(short)
+    with pytest.raises(ArityMismatchError):
+        f.format(short)
+    with pytest.raises(ArityMismatchError):
+        f.lead(MonomialOrder("degrevlex", perm=(3, 2, 1, 0)))
+    assert f.lead(MonomialOrder("lex", perm=(2, 1, 0))) == ((0, 0, 5), 1)
+    assert f.format(MonomialOrder("lex", perm=(2, 1, 0))) == "1*x3^5 + 1*x1^1"
 
 
 def test_negative_exponent_rejected():
@@ -612,6 +622,32 @@ def test_buchberger_pair_count_pinned():
         with pytest.raises(BudgetExceededError):
             buchberger(gens, order, budget=pairs - 1)
         buchberger(gens, order, budget=pairs)
+
+
+@pytest.mark.parametrize(
+    "p,gens,want,pairs",
+    [
+        # (x1*x2)^2 is in the ideal, so 2 is: the unit ideal
+        (3, ("x1^2*x2^2 + 2", "x1*x2", "x2^2"), ["1"], 2),
+        # x2^2 = x1 modulo the second generator, so x2 * x1^2*x2 gives x1^3
+        (
+            2,
+            ("x1^2*x2^2", "x1 + x2^2", "x1^2*x2"),
+            ["1*x2^2 + 1*x1^1", "1*x1^2*x2^1", "1*x1^3"],
+            3,
+        ),
+    ],
+)
+def test_chain_criterion_keeps_pairs_with_equal_lcm(p, gens, want, pairs):
+    # an old pair whose lcm equals the lcm of one of its members with the
+    # new lead must stay; dropping it too loses the last basis element
+    gens = [parse_poly(s, p, 2) for s in gens]
+    gb = buchberger(gens, DEGREVLEX)
+    assert [g.format(DEGREVLEX) for g in gb] == want
+    assert gb == tuple_buchberger(gens, DEGREVLEX)
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, DEGREVLEX, budget=pairs - 1)
+    buchberger(gens, DEGREVLEX, budget=pairs)
 
 
 # -- the certified memberships ---------------------------------------------------------
