@@ -16,7 +16,7 @@ def main():
     code = build_k3_n3(7).code
     print(f"k3-n3: [{code.n},{code.k}] over a field of order {code.field.order}")
     print(" ", is_mds3_rs_fast(code).to_line())
-    # the generic block-determinant path agrees, just slower
+    # the generic span-intersection path agrees, just slower
     print(" ", is_mds_ell(code, 3).to_line())
 
     f3 = field_make(3, [])

@@ -17,6 +17,7 @@ the mod-p backend for the generic oracle's prime).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -82,14 +83,18 @@ class ErasurePattern:
 
 
 def parse_pattern(text: str, m: int, n: int) -> ErasurePattern:
-    """Parse the semicolon-separated "r,c;r,c" cell list."""
+    """Parse the semicolon-separated "r,c;r,c" cell list; a malformed cell
+    or one outside the m x n grid raises SizeConstraintError."""
     cells = set()
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        r, c = chunk.split(",")
-        cells.add((int(r), int(c)))
+        try:
+            r, c = map(int, chunk.split(","))
+        except ValueError:
+            raise SizeConstraintError(f"pattern cell {chunk!r} is not r,c")
+        cells.add((r, c))
     return ErasurePattern(m, n, frozenset(cells))
 
 
@@ -420,16 +425,11 @@ def _generic_int_columns(m, n, a, b, rng):
     return [[row[j] for row in rows] for j in range(m * n)]
 
 
-# majority-vote generic families, keyed by shape; the oracle is seeded, so
-# every spec of the same shape shares one family
-_GENERIC_FAMILY_CACHE: Dict[tuple, Set[int]] = {}
-
-
-def _generic_family(m, n, a, b, trials, seed) -> Set[int]:
-    key = (m, n, a, b, trials, seed)
-    cached = _GENERIC_FAMILY_CACHE.get(key)
-    if cached is not None:
-        return cached
+# majority-vote generic families, cached by shape; the oracle is seeded, so
+# every spec of the same shape shares one family, and the cache is bounded
+# because one family of a large grid can hold millions of patterns
+@functools.lru_cache(maxsize=8)
+def _generic_family(m, n, a, b, trials, seed) -> FrozenSet[int]:
     rng = random.Random(seed)
     ops = ModPOps(GENERIC_ORACLE_PRIME)
     votes: Dict[int, int] = {}
@@ -437,9 +437,7 @@ def _generic_family(m, n, a, b, trials, seed) -> Set[int]:
         cols = _generic_int_columns(m, n, a, b, rng)
         for e in _independent_family(cols, ops):
             votes[e] = votes.get(e, 0) + 1
-    fam = {e for e, v in votes.items() if 2 * v > trials}
-    _GENERIC_FAMILY_CACHE[key] = fam
-    return fam
+    return frozenset(e for e, v in votes.items() if 2 * v > trials)
 
 
 def mr_check(

@@ -149,12 +149,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        res = exhaustive_code_search(
-            args.n, args.k, args.q, prop=args.property, budget=args.budget
-        )
-    except SizeConstraintError as exc:
-        raise UsageError(str(exc))
+    res = exhaustive_code_search(
+        args.n, args.k, args.q, prop=args.property, budget=args.budget
+    )
     _emit(
         {
             "event": "search",
@@ -396,7 +393,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SizeConstraintError) as exc:
+        # a size constraint broken by an argument is a usage error, not a
+        # fail verdict
         print(f"mdskit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

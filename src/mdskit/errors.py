@@ -34,7 +34,7 @@ class DimensionMismatchError(MdskitError):
 
 
 class SizeConstraintError(MdskitError):
-    """A set tuple violates its size constraints."""
+    """A set tuple, erasure pattern or size parameter is out of range."""
 
 
 class CharacteristicMismatchError(MdskitError):

@@ -13,6 +13,10 @@ fields of order at most :data:`TABLE_ORDER_LIMIT`, and FieldElements
 :func:`field_ops` picks the backend from the field alone, and ``det``,
 ``rank``, ``rref``, ``kernel``, ``solve`` and ``subspace_intersection_dim``
 encode their MatrixF input through it, eliminate, and decode the result.
+:func:`block_mds_matrix` builds the (l k) x (l k) block certificate of a
+span intersection; ``mdscheck`` decides MDS(l) by a k x k stack of normal
+vectors instead, and the tests keep the block matrix as its reference.
+
 No floating point is involved anywhere.  Matrices are immutable.  Kernel
 bases are canonical: one vector per free column in increasing column order,
 with a unit in the free position, so tests can compare bases literally.
@@ -55,7 +59,6 @@ __all__ = [
     "solve",
     "subspace_intersection_dim",
     "block_mds_matrix",
-    "block_rows",
 ]
 
 
@@ -339,23 +342,15 @@ def block_mds_matrix(v: MatrixF, sets: Sequence[Sequence[int]]) -> MatrixF:
         raise SizeConstraintError(
             f"sizes sum to {total}, need (l-1)k = {(ell - 1) * k}"
         )
-    cols = [v.col(j) for j in range(n)]
-    return MatrixF(v.field, block_rows(cols, k, norm, FieldOps(v.field)))
-
-
-def block_rows(
-    cols: Sequence[Sequence], k: int, sets: Sequence[Sequence[int]], ops
-) -> List[list]:
-    """Rows of block_mds_matrix in a backend's encoding, from the columns of
-    the k x n matrix in that encoding; the sets are taken as valid."""
-    size = len(sets) * k
-    rows = [[ops.zero] * size for _ in range(size)]
+    size = ell * k
+    zero, one = v.field.zero, v.field.one
+    rows = [[zero] * size for _ in range(size)]
     offset = k
-    for b, a in enumerate(sets):
+    for b, a in enumerate(norm):
         for i in range(k):
             row = rows[b * k + i]
-            row[i] = ops.one
+            row[i] = one
             for j, colidx in enumerate(a):
-                row[offset + j] = cols[colidx][i]
+                row[offset + j] = v.rows[i][colidx]
         offset += len(a)
-    return rows
+    return MatrixF(v.field, rows)

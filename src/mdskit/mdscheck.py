@@ -8,11 +8,14 @@ Decision paths implemented here:
   extension towers.
 * ``is_mds_ell``: the definitional check; enumerates canonical set tuples
   (unordered, since the test is symmetric), filters by the generic-zero
-  predicate, and evaluates the block certificate determinant.  For three
-  sets the enumeration is reduced to sizes <= k-1 after an MDS precheck.
-  The generator matrix is encoded once for the backend ``linalg.field_ops``
-  picks (ints mod p, index tables, or FieldElements for large fields) and
-  every certificate is eliminated in that encoding.
+  predicate, and decides each by the span-intersection certificate: the
+  k x k stack of the sets' normal vectors, cached per set, must be
+  nonsingular.  For three sets the enumeration is reduced to sizes <= k-1
+  after an MDS precheck.  The generator matrix is encoded once for the
+  backend ``linalg.field_ops`` picks (ints mod p, index tables, or
+  FieldElements for large fields) and every certificate is eliminated in
+  that encoding.  ``linalg.block_mds_matrix``, the (ell k) x (ell k) block
+  certificate, is the reference the tests compare it with.
 * ``is_mds3_rs_fast``: Reed-Solomon fast paths: the six-point pairing
   determinants when k = 3, and the disjointness reduction followed by the
   product-polynomial matrix for general k.
@@ -23,9 +26,9 @@ Decision paths implemented here:
   so every k-subset of coordinates is an information set and each code is
   met exactly once as [I | X] with the identity on the first k
   coordinates; the reported candidates still count all C(n, k) placements
-  that this one stands for.  Minors and the intersection certificate (the
-  stacked normal vectors of the sets, in closed form at k = 3) run through
-  the table backend of ``linalg``'s one elimination routine.
+  that this one stands for.  Minors and the same span-intersection
+  certificate as ``is_mds_ell`` (in closed form at k = 3) run through the
+  table backend of ``linalg``'s one elimination routine.
 
 All reports carry the number of tuples examined (determinant evaluations
 or point comparisons performed) and wall time.
@@ -33,7 +36,6 @@ or point comparisons performed) and wall time.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -56,7 +58,6 @@ from .fields import FieldElement, FieldSpec, field_of_order, prime_power
 from .linalg import (
     MatrixF,
     TableOps,
-    block_rows,
     det,
     eliminate,
     field_ops,
@@ -199,17 +200,20 @@ def _canonical_tuples(
             yield tuple(a for group in parts for a in group)
 
 
-# -- the definitional block-determinant check ----------------------------------------
+# -- the definitional span-intersection check ----------------------------------------
 
 
 def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
-    """Decide MDS(ell) through block certificate determinants.
+    """Decide MDS(ell): no filtered tuple's column spans meet beyond zero.
 
     Order of work: MDS precheck first (MDS(ell) implies MDS, and the
-    reductions below assume it), then canonical tuple enumeration with the
-    generic-zero filter.  For ell = 3 only sizes up to k-1 need checking
-    once the code is MDS; size-k sets span everything and larger tuples
-    reduce to fewer sets.
+    certificate below assumes it), then canonical tuple enumeration with the
+    generic-zero filter, each surviving tuple decided by the stacked-normals
+    certificate of ``_first_intersecting``.  For ell = 3 only sizes up to
+    k-1 need checking once the code is MDS; size-k sets span everything and
+    larger tuples reduce to fewer sets.  ``linalg.block_mds_matrix`` is the
+    reference: its (ell k) x (ell k) determinant vanishes on exactly the
+    same tuples.
     """
     t0 = time.perf_counter()
     if ell < 1:
@@ -225,15 +229,67 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
     g = generator_matrix(code)
     ops = field_ops(code.field)
     cols = [[ops.encode(a) for a in g.col(j)] for j in range(code.n)]
-    count = 0
-    for sets in _canonical_tuples(code.n, k, ell, cap):
-        if not _generically_zero(sets, k):
-            continue
-        count += 1
-        rows = block_rows(cols, k, sets, ops)
-        if not eliminate(rows, ops, reduced=False)[1]:
-            return _report(prop, False, count, t0, SetTuple(sets, code.n, k))
+    tuples = (
+        sets
+        for sets in _canonical_tuples(code.n, k, ell, cap)
+        if _generically_zero(sets, k)
+    )
+    count, sets = _first_intersecting(cols, k, tuples, ops)
+    if sets is not None:
+        return _report(prop, False, count, t0, SetTuple(sets, code.n, k))
     return _report(prop, True, count, t0)
+
+
+def _first_intersecting(cols, k, tuples, ops) -> Tuple[int, Optional[tuple]]:
+    """The first tuple whose column spans meet beyond zero, and how many
+    tuples were examined up to it (all of them, and None, when none does).
+
+    The columns of a k x n MDS matrix are given in the backend's encoding.
+    A set's normal vectors are the kernel of its columns taken as rows,
+    cached per set.  The sizes of a tuple's sets sum to (ell - 1) k, so they
+    give k normals in all, and the spans meet exactly when that k x k stack
+    is singular.  At k = 3 on the table backend a pair's normal is its cross
+    product and the stack's determinant has a closed form.
+    """
+    closed = k == 3 and isinstance(ops, TableOps)
+    if closed:
+        t = ops.tables
+        add, mul, neg = t.add, t.mul, t.neg
+    normals: Dict[Tuple[int, ...], list] = {}
+    count = 0
+    for count, sets in enumerate(tuples, 1):
+        stack = []
+        for a in sets:
+            got = normals.get(a)
+            if got is None:
+                if closed and len(a) == 2:
+                    got = [_int_cross(cols[a[0]], cols[a[1]], add, mul, neg)]
+                else:
+                    got = null_basis([cols[j] for j in a], k, ops)
+                normals[a] = got
+            stack += got
+        if closed:
+            if not _int_det3(stack, add, mul, neg):
+                return count, sets
+        elif not eliminate(stack, ops, reduced=False)[1]:
+            return count, sets
+    return count, None
+
+
+def _int_det3(m, add, mul, neg):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    t1 = mul[a][add[mul[e][i]][neg[mul[f][h]]]]
+    t2 = mul[b][add[mul[d][i]][neg[mul[f][g]]]]
+    t3 = mul[c][add[mul[d][h]][neg[mul[e][g]]]]
+    return add[add[t1][neg[t2]]][t3]
+
+
+def _int_cross(u, v, add, mul, neg):
+    return (
+        add[mul[u[1]][v[2]]][neg[mul[u[2]][v[1]]]],
+        add[mul[u[2]][v[0]]][neg[mul[u[0]][v[2]]]],
+        add[mul[u[0]][v[1]]][neg[mul[u[1]][v[0]]]],
+    )
 
 
 # -- Reed-Solomon fast paths -----------------------------------------------------------
@@ -486,22 +542,6 @@ class SearchResult:
     candidates: int
 
 
-def _int_det3(m, add, mul, neg):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    t1 = mul[a][add[mul[e][i]][neg[mul[f][h]]]]
-    t2 = mul[b][add[mul[d][i]][neg[mul[f][g]]]]
-    t3 = mul[c][add[mul[d][h]][neg[mul[e][g]]]]
-    return add[add[t1][neg[t2]]][t3]
-
-
-def _int_cross(u, v, add, mul, neg):
-    return (
-        add[mul[u[1]][v[2]]][neg[mul[u[2]][v[1]]]],
-        add[mul[u[2]][v[0]]][neg[mul[u[0]][v[2]]]],
-        add[mul[u[0]][v[1]]][neg[mul[u[1]][v[0]]]],
-    )
-
-
 def _nonsingular_blocks(k: int, w: int, q: int, ops) -> Iterator[List[tuple]]:
     """Every k x w block over GF(q) whose square minors are all nonzero, in
     lexicographic row-major order.
@@ -580,46 +620,10 @@ def exhaustive_code_search(
     exemplars: List[CodeSpec] = []
     for x_rows in _nonsingular_blocks(k, w, q, ops):
         cols = identity + [tuple(row[j] for row in x_rows) for j in range(w)]
-        if not _mds3_certificate(cols, k, tuples, ops):
+        if _first_intersecting(cols, k, tuples, ops)[1] is not None:
             continue
         count += 1
         if len(exemplars) < exemplar_cap:
             elems = [[field.from_int(c[i]) for c in cols] for i in range(k)]
             exemplars.append(explicit_code(field, elems))
     return SearchResult(count, exemplars, comb(n, k) * q ** (k * w))
-
-
-def _mds3_certificate(cols, k, tuples, ops) -> bool:
-    """No filtered tuple has intersecting column spans.
-
-    A set's normal vectors are the kernel of its columns taken as rows.  For
-    an MDS code, three sets with sizes summing to 2k give k normals in all,
-    and the spans meet exactly when that k x k stack is singular.  At k = 3
-    each set is a pair, its normal is the cross product and the stack's
-    determinant has a closed form.
-    """
-    if k == 3:
-        t = ops.tables
-
-        def normal_rows(a):
-            return [_int_cross(cols[a[0]], cols[a[1]], t.add, t.mul, t.neg)]
-
-        det_of = functools.partial(_int_det3, add=t.add, mul=t.mul, neg=t.neg)
-    else:
-        def normal_rows(a):
-            return null_basis([cols[j] for j in a], k, ops)
-
-        def det_of(stack):
-            return eliminate(stack, ops, reduced=False)[1]
-
-    normals: Dict[Tuple[int, ...], list] = {}
-    for sets in tuples:
-        stack = []
-        for a in sets:
-            got = normals.get(a)
-            if got is None:
-                got = normals[a] = normal_rows(a)
-            stack += got
-        if det_of(stack) == 0:
-            return False
-    return True

@@ -7,6 +7,7 @@ import pytest
 from mdskit.applications import (
     ErasurePattern,
     TensorCodeSpec,
+    _generic_family,
     duality_test,
     ld_mds_check,
     mr_check,
@@ -73,6 +74,12 @@ def test_pattern_text_roundtrip():
     assert parse_pattern(p.format(), 2, 3) == p
     assert parse_pattern("", 2, 3).cells == frozenset()
     assert parse_pattern("", 2, 3).format() == ""
+
+
+@pytest.mark.parametrize("text", ["1;2", "a,b", "0,1,2"])
+def test_malformed_pattern_raises(text):
+    with pytest.raises(SizeConstraintError):
+        parse_pattern(text, 2, 3)
 
 
 def test_pattern_indices_row_major():
@@ -336,6 +343,14 @@ def test_mr_sampling_mode_agrees():
     assert "mode=sampled" in sampled.detail
     assert sampled.ok == full.ok
     assert sampled.tuples == 200
+
+
+def test_generic_family_cache_is_bounded():
+    first = _generic_family(2, 3, 1, 1, 3, 0)
+    assert _generic_family(2, 3, 1, 1, 3, 0) is first
+    for seed in range(1, 12):
+        _generic_family(2, 3, 1, 1, 3, seed)
+    assert _generic_family.cache_info().currsize <= 8
 
 
 def test_mr_validation():

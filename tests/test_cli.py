@@ -124,6 +124,28 @@ def test_check_mr_requires_m(tmp_path, capsys):
     assert "--m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tensor-check", "--m", "2", "--pattern", "1;2"],
+        ["tensor-check", "--m", "2", "--pattern", "a,b"],
+        ["tensor-check", "--m", "2", "--pattern", "5,0"],
+        ["check", "--property", "mdsell", "--ell", "0"],
+        ["ld-check", "--list-size", "0"],
+        ["check", "--property", "mr", "--m", "1"],
+    ],
+    ids=["pattern_one_coordinate", "pattern_not_int", "pattern_off_grid",
+         "ell_zero", "list_size_zero", "mr_m_one"],
+)
+def test_bad_argument_exits_2(tmp_path, capsys, args):
+    path = _write(tmp_path, "good.txt", GOOD43)
+    rc = cli.main(args[:1] + [path] + args[1:])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("mdskit: ")
+
+
 def test_check_mr_property(tmp_path, capsys):
     path = _write(tmp_path, "bad.txt", BAD42)
     rc = cli.main(["check", path, "--property", "mr", "--m", "2"])

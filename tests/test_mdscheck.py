@@ -44,7 +44,8 @@ from mdskit.linalg import (
 from mdskit.mdscheck import (
     CheckReport,
     _canonical_tuples,
-    _mds3_certificate,
+    _first_intersecting,
+    _nonsingular_blocks,
     _pairings_of_six,
     exhaustive_code_search,
     is_mds,
@@ -57,6 +58,8 @@ from mdskit.mdscheck import (
 F7 = field_make(7)
 F11 = field_make(11)
 F13 = field_make(13)
+F9 = field_make(3, [2])
+F81 = field_of_order(81)
 
 
 def rs(field, points, k):
@@ -297,15 +300,18 @@ ELL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("q", [7, 9, 13])
+@pytest.mark.parametrize("q", [7, 9, 13, 81])
 def test_is_mds_ell_matches_per_tuple_reference(q):
     """Random codes: scaled Reed-Solomon codes (MDS, MDS(3) or not), half of
     them with one column overwritten by another or by random entries (often
-    not MDS).  Verdict, tuple count and witness must equal the reference."""
-    field = {7: F7, 9: field_make(3, [2]), 13: F13}[q]
+    not MDS).  Verdict, tuple count and witness must equal the reference.
+    GF(7) and GF(13) run on the mod-p backend, GF(9) on index tables and
+    GF(81) on FieldElements, whose reference eliminations are slow enough to
+    keep it to one code per case."""
+    field = {7: F7, 9: F9, 13: F13, 81: F81}[q]
     rng = random.Random(q)
     for ell, k, n in ELL_CASES:
-        for _ in range(4):
+        for _ in range(1 if q == 81 else 4):
             vand = generator_matrix(rs(field, rng.sample(range(q), n), k))
             scale = [field.from_int(rng.randrange(1, q)) for _ in range(n)]
             rows = [[s * e for s, e in zip(scale, row)] for row in vand.rows]
@@ -746,20 +752,71 @@ def test_search_k4_certificate_matches_int_oracle():
             == 0
             for sets in tuples
         )
-        assert _mds3_certificate(cols, 4, tuples, ops) == want
+        assert (_first_intersecting(cols, 4, tuples, ops)[1] is None) == want
         verdicts.append(want)
     assert verdicts == [True, True, False, False]
+
+
+def _first_singular_block(cols, field, tuples):
+    """(tuples examined, first tuple whose block_mds_matrix is singular),
+    the block eliminated with FieldElements."""
+    g = MatrixF(field, [[c[i] for c in cols] for i in range(len(cols[0]))])
+    ops = FieldOps(field)
+    for count, sets in enumerate(tuples, 1):
+        rows = [list(r) for r in block_mds_matrix(g, sets).rows]
+        if not eliminate(rows, ops, reduced=False)[1]:
+            return count, sets
+    return len(tuples), None
+
+
+def test_k3_closed_form_rejections_match_generic_path_and_block_reference():
+    """At (6, 3, 4) all 486 MDS blocks of the search fail MDS(3).  The
+    certificate takes its k = 3 closed form on the table backend and must
+    reject every block; on a seeded sample the generic path (the same
+    function on FieldElements) and the per-tuple block matrix must return
+    the same count and first failing tuple."""
+    n, k = 6, 3
+    F4 = field_of_order(4)
+    table = TableOps(F4)
+    tuples = [
+        t
+        for t in _canonical_tuples(n, k, 3, k - 1)
+        if generically_zero(SetTuple(t, n, k))
+    ]
+    identity = [tuple(int(t == i) for t in range(k)) for i in range(k)]
+    blocks = [
+        identity + [tuple(row[j] for row in x) for j in range(n - k)]
+        for x in _nonsingular_blocks(k, n - k, 4, table)
+    ]
+    assert len(blocks) == 486
+    got = [_first_intersecting(cols, k, tuples, table) for cols in blocks]
+    assert all(sets is not None for _, sets in got)
+    for i in random.Random(6).sample(range(len(blocks)), 40):
+        decoded = [[F4.from_int(c) for c in col] for col in blocks[i]]
+        assert _first_intersecting(decoded, k, tuples, FieldOps(F4)) == got[i]
+        assert _first_singular_block(decoded, F4, tuples) == got[i]
 
 
 # -- randomized equivalence property --------------------------------------------------
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_property_fast_equals_block_on_random_rs(seed):
+    """Random Reed-Solomon codes over GF(9) (index tables), GF(13) (ints mod
+    p) and GF(81) (FieldElements), n = k among the lengths.  Away from k = 3
+    both paths count the same filtered tuples, so the tuple count and the
+    witness must agree as well as the verdict.  A passing [7, 4] code over
+    GF(81) takes seconds on FieldElements, so codes there stay short."""
     rng = random.Random(seed)
-    k = rng.choice([2, 3])
-    n = rng.randrange(2 * k, 2 * k + 2)
-    pts = rng.sample(range(13), n)
-    code = rs(F13, pts, k)
-    assert is_mds3_rs_fast(code).ok == is_mds_ell(code, 3).ok
+    field = rng.choice([F9, F13, F81])
+    k = rng.choice([1, 2, 3, 4])
+    lengths = [k, k + 1] if field is F81 else [k, k + 1, 2 * k, 2 * k + 1]
+    code = rs(field, rng.sample(range(field.order), rng.choice(lengths)), k)
+    fast, engine = is_mds3_rs_fast(code), is_mds_ell(code, 3)
+    if k == 3:
+        assert fast.ok == engine.ok
+    else:
+        assert (fast.ok, fast.tuples, fast.witness) == (
+            engine.ok, engine.tuples, engine.witness
+        )
