@@ -12,7 +12,7 @@ modular reduction.  Products of sparse tower elements stay cheap even when
 the total degree runs into the thousands, which is the regime the deep
 binomial towers live in.
 
-Three arithmetic backends serve every computation on lists of field
+Four arithmetic backends serve every computation on lists of field
 elements, here and in :mod:`mdskit.linalg`; :func:`field_ops` picks one from
 the field alone:
 
@@ -21,8 +21,13 @@ the field alone:
 * :class:`TableOps` computes with a small field's canonical indices through
   the lookup tables its FieldSpec builds once; it serves extension fields of
   order at most :data:`TABLE_ORDER_LIMIT`;
-* :class:`FieldOps` computes with FieldElements; it serves every other
-  extension field, including the deep towers.
+* :class:`PackedOps` computes with Kronecker-packed ints, one fixed-width
+  slot per coefficient, so that a product is one int multiply followed by a
+  fold with x^(D+j) mod f and a per-slot reduction mod p; it serves every
+  other single-level extension of a prime field, through the packing data
+  its FieldSpec builds once;
+* :class:`FieldOps` computes with FieldElements; it serves the multi-level
+  towers, including the deep binomial ones.
 
 Each has an ``encode``/``decode`` pair to and from FieldElements, two row
 operations (subtract a multiple of one list from another, scale a list)
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import struct
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -74,6 +80,7 @@ __all__ = [
     "FieldOps",
     "TableOps",
     "ModPOps",
+    "PackedOps",
     "TABLE_ORDER_LIMIT",
     "field_ops",
 ]
@@ -318,6 +325,7 @@ class FieldSpec:
         self._order: Optional[int] = None
         self._level_red: Optional[List[dict]] = None
         self._index_tables: Optional[IndexTables] = None
+        self._packing: Optional[Packing] = None
         self.zero = FieldElement(self, (0,) * self.D)
         one = [0] * self.D
         one[0] = 1
@@ -461,6 +469,13 @@ class FieldSpec:
         if self._index_tables is None:
             self._index_tables = IndexTables(self)
         return self._index_tables
+
+    def packing(self) -> "Packing":
+        """Kronecker-packing data of a single-level extension, built on
+        first use."""
+        if self._packing is None:
+            self._packing = Packing(self)
+        return self._packing
 
     def _mul(self, ca: Tuple[int, ...], cb: Tuple[int, ...]) -> Tuple[int, ...]:
         p = self.p
@@ -671,6 +686,63 @@ class IndexTables:
         self.inv = [0] + [row.index(1) for row in self.mul[1:]]
 
 
+class Packing:
+    """A single-level extension GF(p)[x]/(f) as Kronecker-packed ints.
+
+    The element c_0 + c_1 x + ... + c_{D-1} x^(D-1) is the int
+    sum c_i 2^(w i) with every c_i in 0..p-1, so the encoding is canonical
+    and zero is 0.  A product of two elements has 2D - 1 slots of at most
+    D (p-1)^2; folding its D - 1 high slots back with ``fold[j]``, the packed
+    x^(D+j) mod f, adds at most (D-1)(p-1)^2 to a low slot, and adding a
+    third element at most p - 1 more.  The slot width w holds that bound,
+    rounded up to 8, 16, 32 or 64 bits when it fits, so that ``struct``
+    splits and joins the slots in one call.
+    """
+
+    __slots__ = (
+        "shift", "lo_bytes", "hi_bytes", "mask", "fold", "modulus",
+        "split_lo", "split_hi", "join",
+    )
+
+    def __init__(self, field: FieldSpec):
+        p, d = field.p, field.D
+        assert field.base is not None and field.base.D == 1 and d > 1
+        assert field.mod_tail is not None
+        bound = (2 * d - 1) * (p - 1) ** 2 + p - 1
+        bits = bound.bit_length()
+        nbytes = next((s for s in (1, 2, 4, 8) if 8 * s >= bits), -(-bits // 8))
+        if nbytes <= 8:
+            code = {1: "B", 2: "H", 4: "I", 8: "Q"}[nbytes]
+            lo, hi = struct.Struct(f"<{d}{code}"), struct.Struct(f"<{d - 1}{code}")
+            self.split_lo, self.split_hi, self.join = lo.unpack, hi.unpack, lo.pack
+        else:
+            self.split_lo = self.split_hi = _byte_slots(nbytes)
+            self.join = lambda *cs: b"".join(c.to_bytes(nbytes, "little") for c in cs)
+        self.lo_bytes, self.hi_bytes = d * nbytes, (d - 1) * nbytes
+        self.shift = 8 * self.lo_bytes
+        self.mask = (1 << self.shift) - 1
+        # x^D = -tail, then x^(D+j+1) = x * x^(D+j) reduced the same way
+        tail = [t[0] for t in field.mod_tail]
+        self.modulus = tail + [1]
+        power = [-c % p for c in tail]
+        fold = []
+        for _ in range(d - 1):
+            fold.append(power)
+            top = power[-1]
+            power = [(low - top * c) % p for low, c in zip([0] + power[:-1], tail)]
+        self.fold = [int.from_bytes(self.join(*pw), "little") for pw in fold]
+
+
+def _byte_slots(nbytes: int):
+    def split(b: bytes) -> Tuple[int, ...]:
+        return tuple(
+            int.from_bytes(b[i : i + nbytes], "little")
+            for i in range(0, len(b), nbytes)
+        )
+
+    return split
+
+
 def _mult_order(a: FieldElement) -> int:
     """Order of a in the multiplicative group (field must be small)."""
     if a.is_zero():
@@ -796,10 +868,79 @@ class ModPOps:
         return out
 
 
+class PackedOps:
+    """Entries are Kronecker-packed ints of a single-level extension of a
+    prime field (see :class:`Packing`): a product is one int multiply
+    followed by one fold and one pass of per-slot reduction mod p."""
+
+    zero, one = 0, 1
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.p = field.p
+        k = field.packing()
+        self.shift, self.lo_bytes, self.hi_bytes, self.mask = (
+            k.shift, k.lo_bytes, k.hi_bytes, k.mask
+        )
+        self.fold, self.split_lo, self.split_hi, self.join = (
+            k.fold, k.split_lo, k.split_hi, k.join
+        )
+        self.base, self.modulus = ModPOps(field.p), k.modulus
+
+    def _reduce(self, x: int) -> int:
+        # x: up to 2D - 1 nonnegative slots within the Packing bound
+        p = self.p
+        hi = x >> self.shift
+        if hi:
+            hs = [h % p for h in self.split_hi(hi.to_bytes(self.hi_bytes, "little"))]
+            x = sum(map(operator.mul, hs, self.fold), x & self.mask)
+        cs = self.split_lo(x.to_bytes(self.lo_bytes, "little"))
+        return int.from_bytes(self.join(*[c % p for c in cs]), "little")
+
+    def encode(self, a: FieldElement) -> int:
+        return int.from_bytes(self.join(*a.coeffs), "little")
+
+    def decode(self, a: int) -> FieldElement:
+        return FieldElement(self.field, self.split_lo(a.to_bytes(self.lo_bytes, "little")))
+
+    def mul(self, a, b):
+        return self._reduce(a * b)
+
+    def neg(self, a):
+        p = self.p
+        cs = self.split_lo(a.to_bytes(self.lo_bytes, "little"))
+        return int.from_bytes(self.join(*[-c % p for c in cs]), "little")
+
+    def inv(self, a):
+        # extended Euclid modulo the minimal polynomial, on ints mod p
+        cs = list(self.split_lo(a.to_bytes(self.lo_bytes, "little")))
+        u = _poly_inverse_mod(self.base, cs, self.modulus)
+        return int.from_bytes(self.join(*u, *[0] * (len(cs) - len(u))), "little")
+
+    def sub_multiple(self, row, top, f, start):
+        # row - f * top as row + (-f) * top, reduced once per entry
+        nf = self.neg(f)
+        red = self._reduce
+        out = row[:]
+        for j in range(start, len(row)):
+            b = top[j]
+            if b:
+                out[j] = red(row[j] + nf * b)
+        return out
+
+    def scale(self, row, c, start):
+        red = self._reduce
+        out = row[:]
+        for j in range(start, len(row)):
+            out[j] = red(c * row[j])
+        return out
+
+
 def field_ops(field: FieldSpec):
     """The backend for entries of this field: ints mod p for a prime field,
     index tables for an extension field of order at most TABLE_ORDER_LIMIT,
-    FieldElements otherwise."""
+    packed ints for any other single-level extension of a prime field, and
+    FieldElements for the multi-level towers."""
     if field.D == 1:
         return ModPOps(field.p, field)
     # the order is at least 2^D, so testing D first keeps p ** D from being
@@ -807,6 +948,8 @@ def field_ops(field: FieldSpec):
     small = field.D < TABLE_ORDER_LIMIT.bit_length()
     if small and field.order <= TABLE_ORDER_LIMIT:
         return TableOps(field)
+    if len(field.dims) == 1:
+        return PackedOps(field)
     return FieldOps(field)
 
 

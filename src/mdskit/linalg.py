@@ -4,11 +4,12 @@ One Gaussian-elimination routine, :func:`eliminate`, does every row
 reduction in mdskit.  It works on plain lists of rows through a backend
 with two row operations (subtract a multiple of the pivot row, scale a row;
 both from the pivot column on) and the multiply, negate and inverse that
-pivoting needs.  The three backends live in :mod:`mdskit.fields` and are
+pivoting needs.  The four backends live in :mod:`mdskit.fields` and are
 re-exported here: ints mod p (:class:`ModPOps`) for every prime field and
 the generic oracle field, index tables (:class:`TableOps`) for extension
-fields of order at most :data:`TABLE_ORDER_LIMIT`, and FieldElements
-(:class:`FieldOps`) for every other extension field.
+fields of order at most :data:`TABLE_ORDER_LIMIT`, Kronecker-packed ints
+(:class:`PackedOps`) for every larger single-level extension of a prime
+field, and FieldElements (:class:`FieldOps`) for the multi-level towers.
 
 :func:`field_ops` picks the backend from the field alone, and ``det``,
 ``rank``, ``rref``, ``kernel``, ``solve`` and ``subspace_intersection_dim``
@@ -38,6 +39,7 @@ from .fields import (
     FieldOps,
     FieldSpec,
     ModPOps,
+    PackedOps,
     TableOps,
     field_ops,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "FieldOps",
     "TableOps",
     "ModPOps",
+    "PackedOps",
     "TABLE_ORDER_LIMIT",
     "field_ops",
     "eliminate",

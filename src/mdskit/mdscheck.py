@@ -3,24 +3,25 @@
 Decision paths implemented here:
 
 * ``is_mds``: every k x k minor of the generator matrix nonzero; for
-  Reed-Solomon codes each minor is evaluated through the Vandermonde
-  product formula, which needs no division and stays cheap over deep
-  extension towers.
+  Reed-Solomon codes each minor is the Vandermonde product of generator
+  differences, which vanishes exactly when two generators coincide, so no
+  field arithmetic is needed.
 * ``is_mds_ell``: the definitional check; enumerates canonical set tuples
   (unordered, since the test is symmetric), filters by the generic-zero
   predicate, and decides each by the span-intersection certificate: the
   k x k stack of the sets' normal vectors, cached per set, must be
   nonsingular.  For three sets the enumeration is reduced to sizes <= k-1
   after an MDS precheck.  The generator matrix is encoded once for the
-  backend ``linalg.field_ops`` picks (ints mod p, index tables, or
-  FieldElements for large fields) and every certificate is eliminated in
-  that encoding.  ``linalg.block_mds_matrix``, the (ell k) x (ell k) block
-  certificate, is the reference the tests compare it with.
+  backend ``linalg.field_ops`` picks (ints mod p, index tables, packed ints
+  for larger single-level extensions, or FieldElements for the multi-level
+  towers) and every certificate is eliminated in that encoding.
+  ``linalg.block_mds_matrix``, the (ell k) x (ell k) block certificate, is
+  the reference the tests compare it with.
 * ``is_mds3_rs_fast``: Reed-Solomon fast paths: the six-point pairing
   determinants when k = 3, and the disjointness reduction followed by the
-  product-polynomial matrix for general k.
+  product-polynomial matrix for general k, all on the same backend.
 * ``lb_witness_projective``: the projective-point distinctness witness
-  behind the field-size lower bound.
+  behind the field-size lower bound, its cross products on the backend.
 * ``exhaustive_code_search``: complete systematic enumeration at tiny
   parameters, with elements as canonical indices.  An MDS(3) code is MDS,
   so every k-subset of coordinates is an information set and each code is
@@ -54,7 +55,7 @@ from .errors import (
     SizeConstraintError,
     WrongKindError,
 )
-from .fields import FieldElement, FieldSpec, field_of_order, prime_power
+from .fields import field_of_order, prime_power
 from .linalg import (
     MatrixF,
     TableOps,
@@ -110,16 +111,6 @@ def _report(prop, ok, tuples, t0, witness=None, detail=None) -> CheckReport:
 # -- MDS ------------------------------------------------------------------------
 
 
-def _pair_diffs(code: CodeSpec) -> Dict[Tuple[int, int], FieldElement]:
-    diffs: Dict[Tuple[int, int], FieldElement] = {}
-    gens = code.generators
-    assert gens is not None
-    for i in range(code.n):
-        for j in range(i + 1, code.n):
-            diffs[(i, j)] = gens[j] - gens[i]
-    return diffs
-
-
 def _minimal_dependent(m: MatrixF, cols: Sequence[int]) -> List[int]:
     cols = list(cols)
     changed = True
@@ -140,14 +131,16 @@ def is_mds(code: CodeSpec) -> CheckReport:
     k, n = code.k, code.n
     count = 0
     if code.kind == "rs":
-        diffs = _pair_diffs(code)
+        # a Vandermonde minor is the product of its generators' differences
+        # and a field has no zero divisors, so the minor vanishes exactly
+        # when two of its generators coincide
+        gens = code.generators
+        assert gens is not None
+        if len(set(gens)) == n:
+            return _report("mds", True, comb(n, k), t0)
         for cols in itertools.combinations(range(n), k):
             count += 1
-            # Vandermonde minor: product of generator differences
-            val = code.field.one
-            for a, b in itertools.combinations(cols, 2):
-                val = val * diffs[(a, b)]
-            if val.is_zero():
+            if len({gens[c] for c in cols}) < k:
                 return _report(
                     "mds", False, count, t0, SetTuple((cols,), n, k)
                 )
@@ -308,96 +301,130 @@ def _pairings_of_six(items: Sequence[int]) -> Iterator[Tuple[Tuple[int, int], ..
 
 
 class _ProductMatrixContext:
-    """Cached elementary-symmetric products for one Reed-Solomon code."""
+    """Cached elementary-symmetric products for one Reed-Solomon code, in
+    the encoding of the backend ``field_ops`` picks for its field."""
 
     def __init__(self, code: CodeSpec):
         assert code.generators is not None
-        self.field = code.field
+        self.ops = ops = field_ops(code.field)
         self.gens = code.generators
-        self._diff: Dict[Tuple[int, int], FieldElement] = {}
-        self._pi: Dict[Tuple[frozenset, int], FieldElement] = {}
-        self._col: Dict[Tuple[frozenset, int, int], FieldElement] = {}
-        self._pow: Dict[Tuple[int, int], FieldElement] = {}
+        self._enc = [ops.encode(g) for g in self.gens]
+        self._diff: Dict[Tuple[int, int], object] = {}
+        self._pi: Dict[Tuple[frozenset, int], object] = {}
+        self._col: Dict[Tuple[frozenset, int, int], object] = {}
+        self._pow: Dict[Tuple[int, int], object] = {}
 
-    def diff(self, a: int, b: int) -> FieldElement:
+    def diff(self, a: int, b: int):
         # generator a minus generator b
         key = (a, b)
         got = self._diff.get(key)
         if got is None:
-            got = self.gens[a] - self.gens[b]
-            self._diff[key] = got
+            got = self._diff[key] = self.ops.encode(self.gens[a] - self.gens[b])
         return got
 
-    def power(self, a: int, t: int) -> FieldElement:
+    def power(self, a: int, t: int):
         key = (a, t)
         got = self._pow.get(key)
         if got is None:
-            got = self.gens[a] ** t
+            if t == 0:
+                got = self.ops.one
+            else:
+                got = self.ops.mul(self.power(a, t - 1), self._enc[a])
             self._pow[key] = got
         return got
 
-    def pi(self, subset: frozenset, a: int) -> FieldElement:
+    def pi(self, subset: frozenset, a: int):
         # product of (gen_a - gen_x) over x in subset
         key = (subset, a)
         got = self._pi.get(key)
         if got is None:
-            got = self.field.one
+            got = self.ops.one
             for x in subset:
-                got = got * self.diff(a, x)
+                got = self.ops.mul(got, self.diff(a, x))
             self._pi[key] = got
         return got
 
-    def column_entry(self, subset: frozenset, a: int, t: int) -> FieldElement:
+    def column_entry(self, subset: frozenset, a: int, t: int):
         key = (subset, a, t)
         got = self._col.get(key)
         if got is None:
-            got = self.pi(subset, a) * self.power(a, t)
+            got = self.ops.mul(self.pi(subset, a), self.power(a, t))
             self._col[key] = got
         return got
 
 
-def _det_small(field: FieldSpec, rows: List[List[FieldElement]]) -> FieldElement:
+def _det_nonzero(ops, rows: list) -> bool:
+    """Whether a square matrix in the backend's encoding is nonsingular:
+    closed forms up to order 3, elimination from order 4 on."""
     m = len(rows)
-    if m == 0:
-        return field.one
-    if m == 1:
-        return rows[0][0]
+    if m <= 1:
+        return m == 0 or bool(rows[0][0])
+    mul = ops.mul
     if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        (a, b), (c, d) = rows
+        return mul(a, d) != mul(b, c)
     if m == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return det(MatrixF(field, rows))
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        one = ops.one
+        u = ops.sub_multiple(
+            [mul(e, i), mul(f, g), mul(d, h)], [mul(f, h), mul(d, i), mul(e, g)], one, 0
+        )
+        # the determinant a u0 + b u1 + c u2 vanishes when a u0 + b u1 = -c u2
+        lhs = ops.sub_multiple([mul(a, u[0])], [mul(b, u[1])], ops.neg(one), 0)[0]
+        return lhs != mul(ops.neg(c), u[2])
+    return bool(eliminate(rows, ops, reduced=False)[1])
 
 
 def weak_reduce(tup: SetTuple) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-    """Strip elements shared by two sets, lowering k; returns disjoint sets
-    and the reduced dimension.  Requires an empty triple intersection."""
-    return _weak_reduce(tup.sets, tup.k)
+    """Strip elements shared by two sets, lowering k by one for each;
+    returns disjoint sets and the reduced dimension.  Requires an empty
+    triple intersection."""
+    seen: set = set()
+    shared: set = set()
+    for a in tup.sets:
+        shared.update(seen.intersection(a))
+        seen.update(a)
+    return tuple(tuple(x for x in a if x not in shared) for a in tup.sets), tup.k - len(shared)
 
 
-def _weak_reduce(
-    sets: Sequence[Sequence[int]], k: int
-) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-    sets = [set(a) for a in sets]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                common = sets[i] & sets[j]
-                if common:
-                    x = min(common)
-                    sets[i].discard(x)
-                    sets[j].discard(x)
-                    k -= 1
-                    changed = True
-                    break
-            if changed:
-                break
-    return tuple(tuple(sorted(s)) for s in sets), k
+class _BitMasks(dict):
+    """Index set -> bit mask, computed on first use."""
+
+    def __missing__(self, a: Tuple[int, ...]) -> int:
+        mask = self[a] = sum(1 << x for x in a)
+        return mask
+
+
+def _filter_and_strip(sets: Sequence[Tuple[int, ...]], k: int, masks: _BitMasks):
+    """The generic-zero filter and the weak reduction of a triple in one
+    pass over the bit masks of its pairwise intersections.
+
+    None when the filter rejects the triple.  Otherwise the reduced
+    dimension k2 of ``weak_reduce`` (once the filter passes, the triple
+    intersection is empty, so each shared element lies in exactly two sets
+    and lowers k by one) and its disjoint sets, or None in place of the sets
+    when they need no certificate: k2 <= 0, or a set of k2 or more columns
+    spans the whole reduced space, and the rest has at most k2 columns,
+    independent because the code is MDS.
+    """
+    a1, a2, a3 = sets
+    m1, m2, m3 = masks[a1], masks[a2], masks[a3]
+    i12, i13, i23 = m1 & m2, m1 & m3, m2 & m3
+    if i12 & m3:
+        return None
+    c12, c13, c23 = i12.bit_count(), i13.bit_count(), i23.bit_count()
+    if c12 + len(a3) > k or c13 + len(a2) > k or c23 + len(a1) > k:
+        return None
+    k2 = k - c12 - c13 - c23
+    if (
+        k2 <= 0
+        or len(a1) - c12 - c13 >= k2
+        or len(a2) - c12 - c23 >= k2
+        or len(a3) - c13 - c23 >= k2
+    ):
+        return k2, None
+    shared = i12 | i13 | i23
+    return k2, tuple(tuple(x for x in a if not shared >> x & 1) for a in sets)
 
 
 def _product_matrix_det_nonzero(
@@ -408,9 +435,6 @@ def _product_matrix_det_nonzero(
     order = sorted(range(len(sets)), key=lambda i: len(sets[i]))
     row_set = sets[order[0]]
     others = [sets[i] for i in order[1:]]
-    m = len(row_set)
-    if m == 0:
-        return True
     rows = []
     for a in row_set:
         row = []
@@ -420,14 +444,17 @@ def _product_matrix_det_nonzero(
             for t in range(delta):
                 row.append(ctx.column_entry(fs, a, t))
         rows.append(row)
-    return not _det_small(ctx.field, rows).is_zero()
+    return _det_nonzero(ctx.ops, rows)
 
 
 def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
-    """Reed-Solomon MDS(3) fast path.
+    """Reed-Solomon MDS(3) fast path, on the backend ``field_ops`` picks.
 
     k = 3: for every six-point subset and each of its 15 perfect pairings,
-    the 3 x 3 matrix with rows (1, b+b', b*b') must be nonsingular.
+    the 3 x 3 matrix with rows (1, s, p), s and p the sum and product of a
+    pair's generators, must be nonsingular; its determinant is
+    (s2 - s1)(p3 - p1) - (s3 - s1)(p2 - p1), with sums, products and
+    differences computed once per code.
     Other k: canonical tuples of sizes <= k-1 pass the generic-zero filter,
     are made disjoint by the stripping reduction, and are certified by the
     product-polynomial determinant.
@@ -440,32 +467,42 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
     gens = code.generators
     count = 0
     if k == 3:
-        one = code.field.one
+        ops = field_ops(code.field)
+        mul, one = ops.mul, ops.one
+        pairs = list(itertools.combinations(range(n), 2))
+        index = {pair: i for i, pair in enumerate(pairs)}
+        enc = [ops.encode(g) for g in gens]
+        # each pair's sum s and product p, the last two entries of its row
+        sp = [[ops.encode(gens[a] + gens[b]), mul(enc[a], enc[b])] for a, b in pairs]
+        deltas: Dict[Tuple[int, int], list] = {}
+
+        def delta(i, j):
+            # (s_j - s_i, p_j - p_i)
+            got = deltas.get((i, j))
+            if got is None:
+                got = deltas[(i, j)] = ops.sub_multiple(sp[j], sp[i], one, 0)
+            return got
+
         for six in itertools.combinations(range(n), 6):
-            prods = {}
-            sums = {}
-            for a, b in itertools.combinations(six, 2):
-                sums[(a, b)] = gens[a] + gens[b]
-                prods[(a, b)] = gens[a] * gens[b]
             for pairing in _pairings_of_six(six):
                 count += 1
-                rows = [[one, sums[p], prods[p]] for p in pairing]
-                if _det_small(code.field, rows).is_zero():
+                i = index[pairing[0]]
+                ds2, dp2 = delta(i, index[pairing[1]])
+                ds3, dp3 = delta(i, index[pairing[2]])
+                if mul(ds2, dp3) == mul(ds3, dp2):
                     return _report(
                         "mds3-rs", False, count, t0, SetTuple(pairing, n, k)
                     )
         return _report("mds3-rs", True, count, t0)
     ctx = _ProductMatrixContext(code)
+    masks = _BitMasks()
     for sets in _canonical_tuples(n, k, 3, k - 1):
-        if not _generically_zero(sets, k):
+        got = _filter_and_strip(sets, k, masks)
+        if got is None:
             continue
         count += 1
-        reduced, k2 = _weak_reduce(sets, k)
-        if any(len(s) >= k2 for s in reduced) or k2 <= 0:
-            # a full-size set spans everything; the remaining union has at
-            # most k2 columns, independent because the code is MDS
-            continue
-        if not _product_matrix_det_nonzero(ctx, reduced, k2):
+        k2, reduced = got
+        if reduced is not None and not _product_matrix_det_nonzero(ctx, reduced, k2):
             return _report("mds3-rs", False, count, t0, SetTuple(sets, n, k))
     return _report("mds3-rs", True, count, t0)
 
@@ -513,16 +550,20 @@ def lb_witness_projective(code: CodeSpec) -> CheckReport:
             w1 = -det(norm.submatrix(rows_w1, a))
             w2 = det(norm.submatrix(rows_w2, a))
             pts.append((w1, w2))
+    ops = field_ops(code.field)
+    mul = ops.mul
+    pts = [(ops.encode(w1), ops.encode(w2)) for w1, w2 in pts]
     count = 0
     for i in range(len(pts)):
         w1i, w2i = pts[i]
-        if w1i.is_zero() and w2i.is_zero():
+        if not w1i and not w2i:
             witness = SetTuple(((0, 1), subsets[i], subsets[i]), n, k)
             return _report("lb-witness", False, count, t0, witness, detail)
         for j in range(i + 1, len(pts)):
             count += 1
             w1j, w2j = pts[j]
-            if (w1i * w2j - w2i * w1j).is_zero():
+            # the cross product w1i w2j - w2i w1j vanishes
+            if mul(w1i, w2j) == mul(w2i, w1j):
                 witness = SetTuple(((0, 1), subsets[i], subsets[j]), n, k)
                 return _report(
                     "lb-witness", False, count, t0, witness, detail

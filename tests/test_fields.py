@@ -19,6 +19,7 @@ from mdskit.fields import (
     FieldElement,
     FieldOps,
     FieldSpec,
+    PackedOps,
     _binomial_irreducible,
     _mult_order,
     _p_divmod,
@@ -495,7 +496,7 @@ def test_find_irreducible_pinned(key):
 _F9 = F3.extend(2)
 _INVERSE_FIELDS = [
     _F9,
-    field_make(3, [4]),  # GF(81): FieldElements, inverses over GF(3)
+    field_make(3, [4]),  # GF(81): packed ints, inverses over GF(3)
     field_make(3, [2, 4]),  # GF(3^8): inverses over GF(9) tables
     field_make(67, [25]),
     extend_binomial_chain(_F9, _F9.from_int(4), 4, 2),  # GF(9^16)
@@ -548,3 +549,85 @@ def test_inverse_and_backend_helpers_match_field_ops(fi, seed):
     for i, c in enumerate(re):
         prod[i] = prod[i] + c
     assert prod[: len(x)] == x and all(c.is_zero() for c in prod[len(x):])
+
+
+# -- the Kronecker-packed backend against FieldElement arithmetic ----------------------
+
+_PACKED_FIELDS = [
+    field_make(3, [4]),
+    field_make(7, [4]),
+    field_make(11, [7]),
+    field_make(59, [25]),
+    # large primes at degree 2 (x^2 + 1, as p = 3 mod 4): 64-bit slots, and
+    # slots too wide for struct
+    field_make(2**31 - 1, [(2, [1, 0, 1])]),
+    field_make(2**61 - 1, [(2, [1, 0, 1])]),
+]
+
+
+@st.composite
+def _packed_element(draw, f):
+    kind = draw(st.sampled_from(["zero", "one", "sparse", "dense"]))
+    if kind == "zero":
+        return f.zero
+    if kind == "one":
+        return f.one
+    coeff = st.integers(0, f.p - 1)
+    if kind == "dense":
+        return f.element([draw(coeff) for _ in range(f.D)])
+    c = [0] * f.D
+    for _ in range(draw(st.integers(1, 2))):
+        c[draw(st.integers(0, f.D - 1))] = draw(st.sampled_from([1, f.p - 1]) | coeff)
+    return f.element(c)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_packed_backend_matches_field_elements(data):
+    f = data.draw(st.sampled_from(_PACKED_FIELDS))
+    ops = field_ops(f)
+    assert type(ops) is PackedOps
+    a, b, c, d = (data.draw(_packed_element(f)) for _ in range(4))
+    ea, eb, ec, ed = map(ops.encode, (a, b, c, d))
+    assert ops.decode(ea) == a and ops.decode(ops.zero) == f.zero
+    assert ops.decode(ops.one) == f.one
+    # the encoding is canonical: equal ints exactly for equal elements
+    assert (ea == eb) == (a == b) and bool(ea) == bool(a)
+    assert ops.decode(ops.mul(ea, eb)) == a * b
+    assert ops.decode(ops.neg(ea)) == -a
+    if a:
+        assert ops.decode(ops.inv(ea)) == a.inverse()
+    else:
+        with pytest.raises(DivisionByZeroError):
+            ops.inv(ea)
+    start = data.draw(st.integers(0, 2))
+    row, top = [ea, eb, ec], [ec, ed, ea]
+    got = ops.sub_multiple(row, top, eb, start)
+    assert got[:start] == row[:start]
+    assert list(map(ops.decode, got[start:])) == [
+        x - b * y for x, y in zip([a, b, c][start:], [c, d, a][start:])
+    ]
+    got = ops.scale(row, ed, start)
+    assert got[:start] == row[:start]
+    assert list(map(ops.decode, got[start:])) == [d * x for x in [a, b, c][start:]]
+
+
+def test_packing_is_built_once_per_field(monkeypatch):
+    import mdskit.fields as fields_mod
+
+    built = []
+    real = fields_mod.Packing
+
+    def counting(field):
+        built.append(field)
+        return real(field)
+
+    monkeypatch.setattr(fields_mod, "Packing", counting)
+    f = field_make(5, [4])
+    rng = random.Random(5)
+    for _ in range(3):
+        ops = field_ops(f)
+        x, y = (ops.encode(f.random_element(rng)) for _ in range(2))
+        ops.mul(x, y)
+    assert f.packing() is f.packing()
+    assert built == [f]

@@ -20,6 +20,7 @@ from mdskit.linalg import (
     FieldOps,
     MatrixF,
     ModPOps,
+    PackedOps,
     TableOps,
     block_mds_matrix,
     det,
@@ -141,13 +142,15 @@ def test_matmul_shape_check():
 F9 = field_make(3, [2])
 F16 = field_make(2, [4])
 F81 = field_make(3, [4])  # above the table limit
+F729 = field_make(3, [2, 3])  # a two-level tower above the table limit
 FP = field_make(GENERIC_ORACLE_PRIME)
 
 
 def test_field_ops_picks_backend_by_field():
-    assert F16.order <= TABLE_ORDER_LIMIT < F81.order
+    assert F16.order <= TABLE_ORDER_LIMIT < F81.order < F729.order
     for field, backend in [
-        (F7, ModPOps), (FP, ModPOps), (F9, TableOps), (F16, TableOps), (F81, FieldOps),
+        (F7, ModPOps), (FP, ModPOps), (F9, TableOps), (F16, TableOps),
+        (F81, PackedOps), (F729, FieldOps),
     ]:
         assert type(field_ops(field)) is backend
 

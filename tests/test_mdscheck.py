@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdskit.codes import (
     GENERIC_ORACLE_PRIME,
+    CodeSpec,
     SetTuple,
     explicit_code,
     generator_matrix,
@@ -35,7 +36,9 @@ from mdskit.linalg import (
     ModPOps,
     TableOps,
     block_mds_matrix,
+    det,
     eliminate,
+    field_ops,
     null_basis,
     rank,
     rref,
@@ -43,7 +46,10 @@ from mdskit.linalg import (
 )
 from mdskit.mdscheck import (
     CheckReport,
+    _BitMasks,
     _canonical_tuples,
+    _det_nonzero,
+    _filter_and_strip,
     _first_intersecting,
     _nonsingular_blocks,
     _pairings_of_six,
@@ -60,6 +66,7 @@ F11 = field_make(11)
 F13 = field_make(13)
 F9 = field_make(3, [2])
 F81 = field_of_order(81)
+F729 = field_make(3, [2, 3])  # a (2, 3) tower: FieldElements
 
 
 def rs(field, points, k):
@@ -306,8 +313,8 @@ def test_is_mds_ell_matches_per_tuple_reference(q):
     them with one column overwritten by another or by random entries (often
     not MDS).  Verdict, tuple count and witness must equal the reference.
     GF(7) and GF(13) run on the mod-p backend, GF(9) on index tables and
-    GF(81) on FieldElements, whose reference eliminations are slow enough to
-    keep it to one code per case."""
+    GF(81) on packed ints; the reference eliminates FieldElements, slow
+    enough over GF(81) to keep it to one code per case."""
     field = {7: F7, 9: F9, 13: F13, 81: F81}[q]
     rng = random.Random(q)
     for ell, k, n in ELL_CASES:
@@ -449,6 +456,40 @@ def test_weak_reduce_preserves_budget_identity():
             assert not (set(x) & set(y))
 
 
+def _iterative_weak_reduce(sets, k):
+    """Strip one shared element at a time, the smallest first, until the
+    sets are pairwise disjoint."""
+    sets = [set(a) for a in sets]
+    while True:
+        for a, b in itertools.combinations(sets, 2):
+            if a & b:
+                x = min(a & b)
+                a.discard(x)
+                b.discard(x)
+                k -= 1
+                break
+        else:
+            return tuple(tuple(sorted(s)) for s in sets), k
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (7, 4), (7, 5), (7, 6)])
+def test_filter_and_strip_matches_filter_then_weak_reduce(n, k):
+    """On every canonical triple of sizes up to k - 1: None exactly when the
+    generic-zero filter rejects; otherwise the iterative reduction's
+    dimension, and its sets unless one of them has k2 or more elements or
+    k2 <= 0 (then None in their place)."""
+    masks = _BitMasks()
+    for sets in _canonical_tuples(n, k, 3, k - 1):
+        got = _filter_and_strip(sets, k, masks)
+        if not generically_zero(SetTuple(sets, n, k)):
+            assert got is None
+            continue
+        reduced, k2 = _iterative_weak_reduce(sets, k)
+        assert weak_reduce(SetTuple(sets, n, k)) == (reduced, k2)
+        trivial = k2 <= 0 or any(len(s) >= k2 for s in reduced)
+        assert got == (k2, None if trivial else reduced)
+
+
 # -- the equivalence triangle: fast path == block path == int-Gaussian oracle --------
 
 
@@ -508,6 +549,92 @@ def test_product_matrix_certificate_per_tuple_k4():
                 == 0
             )
             assert got == want
+
+
+def _rs3_block_reference(code):
+    """is_mds3_rs_fast's (ok, tuples, witness) with every tuple decided by
+    eliminating its block_mds_matrix: at k = 3 the perfect pairings of each
+    six-subset in the fast path's order, otherwise the filtered canonical
+    tuples of sizes up to k - 1."""
+    n, k = code.n, code.k
+    if k == 3:
+        tuples = (
+            p
+            for six in itertools.combinations(range(n), 6)
+            for p in _pairings_of_six(six)
+        )
+    else:
+        tuples = (
+            t
+            for t in _canonical_tuples(n, k, 3, k - 1)
+            if generically_zero(SetTuple(t, n, k))
+        )
+    g = generator_matrix(code)
+    ops = field_ops(code.field)
+    count = 0
+    for sets in tuples:
+        count += 1
+        rows = [[ops.encode(a) for a in row] for row in block_mds_matrix(g, sets).rows]
+        if not eliminate(rows, ops, reduced=False)[1]:
+            return False, count, SetTuple(sets, n, k)
+    return True, count, None
+
+
+# (q, k, points, verdict): passing and failing codes at k = 3, 4, 5 on each
+# backend, at sizes the per-tuple block reference affords
+RS3_CODES = [
+    (9, 3, [2, 6, 1, 0, 4, 7], False),
+    (9, 4, [0, 4, 3, 2, 5, 1], True),
+    (9, 4, [3, 4, 2, 7, 0, 1, 8], False),
+    (9, 5, [6, 2, 3, 5, 8, 0], True),
+    (9, 5, [5, 7, 1, 3, 8, 4, 0, 2], False),
+    (81, 3, [63, 26, 2, 37, 25, 14], True),
+    (81, 3, [19, 11, 24, 76, 37, 77, 48], False),
+    (81, 4, [43, 23, 17, 55, 52, 20, 62], False),
+    (81, 5, [0, 12, 7, 71, 46, 55, 73, 18], False),
+    (729, 3, [262, 37, 60, 219, 132, 212], True),
+    (729, 3, [542, 454, 396, 404, 138, 118, 286], False),
+    (729, 4, [308, 538, 66, 409, 609], True),
+    (729, 5, [65, 181, 253, 205, 508], True),
+]
+
+
+@pytest.mark.parametrize("q,k,points,verdict", RS3_CODES)
+def test_rs3_fast_path_matches_engine_and_block_reference(q, k, points, verdict):
+    """Reed-Solomon codes over GF(9) (index tables), GF(81) (packed ints)
+    and the (2, 3) tower GF(3^6) (FieldElements): the fast path's verdict,
+    tuple count and witness equal the per-tuple block reference, and its
+    verdict equals is_mds_ell's; away from k = 3 both enumerate the same
+    filtered tuples, so the count and witness equal is_mds_ell's too."""
+    code = rs({9: F9, 81: F81, 729: F729}[q], points, k)
+    fast = is_mds3_rs_fast(code)
+    got = (fast.ok, fast.tuples, fast.witness)
+    assert fast.ok == verdict
+    assert got == _rs3_block_reference(code)
+    engine = is_mds_ell(code, 3)
+    assert fast.ok == engine.ok
+    if k != 3:
+        assert got == (engine.ok, engine.tuples, engine.witness)
+
+
+@pytest.mark.parametrize("q", [13, 9, 81, 729])
+def test_det_nonzero_matches_det(q):
+    """The product-matrix determinant test, closed forms up to order 3 and
+    elimination beyond, against det, on seeded square matrices of order 0
+    to 5 over every backend; half are singular (a row is a multiple of
+    another, or zero)."""
+    field = {13: F13, 9: F9, 81: F81, 729: F729}[q]
+    ops = field_ops(field)
+    rng = random.Random(q)
+    for m in range(6):
+        for trial in range(40):
+            rows = [[field.from_int(rng.randrange(q)) for _ in range(m)] for _ in range(m)]
+            if m and trial % 2:
+                i, j = rng.randrange(m), rng.randrange(m)
+                c = field.from_int(rng.randrange(q))
+                rows[i] = [c * x for x in rows[j]] if i != j else [field.zero] * m
+            enc = [[ops.encode(x) for x in row] for row in rows]
+            assert _det_nonzero(ops, enc) == (not det(MatrixF(field, rows)).is_zero())
 
 
 def test_rs_k2_mds3_reduces_to_mds():
@@ -609,6 +736,58 @@ def test_lb_witness_k2_shortcut_matches_general_path():
     assert fast.ok == slow.ok
     assert fast.detail is not None and slow.detail is not None
     assert fast.detail.split()[0] == slow.detail.split()[0]
+
+
+def _lb_witness_reference(code):
+    """lb_witness_projective's (tuples, witness) on its general path, with
+    the points' cross products taken in FieldElement arithmetic."""
+    n, k = code.n, code.k
+    norm, _ = rref(generator_matrix(code))
+    subsets = list(itertools.combinations(range(2, n), k - 1))
+    pts = [
+        (
+            -det(norm.submatrix(range(1, k), a)),
+            det(norm.submatrix([0] + list(range(2, k)), a)),
+        )
+        for a in subsets
+    ]
+    count = 0
+    for i, (w1i, w2i) in enumerate(pts):
+        if w1i.is_zero() and w2i.is_zero():
+            return count, SetTuple(((0, 1), subsets[i], subsets[i]), n, k)
+        for j in range(i + 1, len(pts)):
+            count += 1
+            w1j, w2j = pts[j]
+            if (w1i * w2j - w2i * w1j).is_zero():
+                return count, SetTuple(((0, 1), subsets[i], subsets[j]), n, k)
+    return count, None
+
+
+def test_lb_witness_cross_products_match_field_elements():
+    """RS [n, 3] codes over GF(81) (packed ints) and the tower GF(3^6)
+    (FieldElements), where points collide or stay distinct."""
+    rng = random.Random(3)
+    witnesses = set()
+    for field, n in [(F81, 8), (F81, 10), (F81, 10), (F729, 9), (F729, 9)]:
+        code = rs(field, rng.sample(range(field.order), n), 3)
+        rep = lb_witness_projective(code)
+        assert (rep.tuples, rep.witness) == _lb_witness_reference(code)
+        witnesses.add(rep.witness is None)
+    assert witnesses == {True, False}
+
+
+def test_rs_is_mds_matches_minors_with_repeated_generators():
+    """A Reed-Solomon CodeSpec built directly with a repeated generator
+    fails at the first k-subset holding both copies, with the tuple count
+    of the explicit path that takes every minor's determinant."""
+    for pts, k in [([0, 1, 2, 1, 3], 2), ([0, 1, 2, 3, 0], 3), ([5, 4, 3, 5, 6], 4)]:
+        gens = tuple(F81.from_int(b) for b in pts)
+        code = CodeSpec(F81, len(pts), k, "rs", generators=gens)
+        explicit = explicit_code(F81, generator_matrix(code))
+        got, want = is_mds(code), is_mds(explicit)
+        assert (got.ok, got.tuples) == (want.ok, want.tuples) == (False, got.tuples)
+    code = rs(F81, [0, 1, 2, 3, 4, 5], 3)
+    assert (is_mds(code).ok, is_mds(code).tuples) == (True, math.comb(6, 3))
 
 
 def test_lb_witness_requires_mds():
@@ -804,10 +983,10 @@ def test_k3_closed_form_rejections_match_generic_path_and_block_reference():
 @given(st.integers(0, 10**6))
 def test_property_fast_equals_block_on_random_rs(seed):
     """Random Reed-Solomon codes over GF(9) (index tables), GF(13) (ints mod
-    p) and GF(81) (FieldElements), n = k among the lengths.  Away from k = 3
+    p) and GF(81) (packed ints), n = k among the lengths.  Away from k = 3
     both paths count the same filtered tuples, so the tuple count and the
     witness must agree as well as the verdict.  A passing [7, 4] code over
-    GF(81) takes seconds on FieldElements, so codes there stay short."""
+    GF(81) takes about a second in is_mds_ell, so codes there stay short."""
     rng = random.Random(seed)
     field = rng.choice([F9, F13, F81])
     k = rng.choice([1, 2, 3, 4])
