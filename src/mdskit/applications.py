@@ -10,9 +10,12 @@ decoder.  Grid cells are addressed row-major: cell (r, c) is column r*n + c
 of the tensor parity-check matrix.
 
 The sweeps work on canonical element indices: the list-decoding checks read
-the field's index tables, and the tensor check's independence tests use the
-row operations of linalg's backends (the table backend for the code's field,
-the mod-p backend for the generic oracle's prime).
+the field's index tables, and the tensor check uses the row operations of
+linalg's backends (the table backend for the code's field, the mod-p backend
+for the generic oracle's prime).  Exhaustively, a family of correctable
+patterns is one 2^(m*n)-bit int: the down-closure of the complements of the
+bases of the tensor generator's columns; sampled, a pattern is decided by
+the rank of its parity-check columns.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .codes import (
     GENERIC_ORACLE_PRIME,
@@ -39,7 +42,7 @@ from .errors import (
     SizeConstraintError,
 )
 from .fields import FieldSpec
-from .linalg import MatrixF, ModPOps, TableOps, eliminate, rref
+from .linalg import MatrixF, ModPOps, TableOps, eliminate, null_basis, rref
 from .mdscheck import CheckReport, _report, is_mds_ell
 
 __all__ = [
@@ -366,20 +369,76 @@ def tensor_parity(spec: TensorCodeSpec) -> MatrixF:
     return MatrixF(field, [list(reduced.rows[i]) for i in range(len(pivots))])
 
 
-def _independent_family(columns, ops) -> Set[int]:
-    """All linearly independent column-index subsets, as bitmasks.
+def _parity_columns(hcol_rows, hrow_rows, m: int, n: int):
+    """Columns of the stacked tensor parity check, one list per cell."""
+    rows = _tensor_layout(hcol_rows, hrow_rows, m, n, 0)
+    return [[row[j] for row in rows] for j in range(m * n)]
 
-    Depth-first, one elimination step per (node, candidate) with the
-    backend's row operations: candidates are kept reduced against the
-    current basis, and a candidate that reduces to zero is dropped from the
-    whole subtree (supersets stay dependent).  Int masks rather than sets
-    keep the family out of the garbage collector's way.
+
+def _actual_checks(spec: TensorCodeSpec):
+    """The component parity checks as canonical indices of the code's field."""
+    return tuple(
+        [[x.to_int() for x in row] for row in generator_matrix(dual_code(code)).rows]
+        for code in (spec.col_code, spec.row_code)
+    )
+
+
+def _generic_checks(m, n, a, b, rng):
+    """Random component parity checks over the generic oracle's prime."""
+    p = GENERIC_ORACLE_PRIME
+    hcol = [[rng.randrange(p) for _ in range(m)] for _ in range(a)]
+    hrow = [[rng.randrange(p) for _ in range(n)] for _ in range(b)]
+    return hcol, hrow
+
+
+def _bit_set_selector(i: int, cells: int) -> int:
+    """The 2^cells-bit int with bit e set iff cell i is in pattern mask e."""
+    width = 1 << i
+    sel = ((1 << width) - 1) << width
+    span = width << 1
+    while span < 1 << cells:
+        sel |= sel << span
+        span <<= 1
+    return sel
+
+
+def _correctable_bits(hcol, hrow, m: int, n: int, ops) -> int:
+    """The correctable erasure patterns of ker(hcol) (x) ker(hrow), as one
+    int with bit e set when the cells of mask e are correctable.
+
+    E is correctable iff no nonzero codeword lies inside E, iff the columns
+    of the generator null_basis(hcol) (x) null_basis(hrow) off E have full
+    rank; so the family is the down-closure of the complements of the bases
+    of the generator's column matroid.  The bases are found depth first with
+    the backend's row operations: candidates are kept reduced against the
+    current independent set, one that reduces to zero is dropped from the
+    whole subtree, and a branch whose candidates cannot reach the rank is cut.
     """
-    family: Set[int] = set()
+    gcol, grow = null_basis(hcol, m, ops), null_basis(hrow, n, ops)
+    rank = len(gcol) * len(grow)
+    mul = ops.mul
+    columns = [
+        [mul(u[r], v[c]) for u in gcol for v in grow]
+        for r in range(m)
+        for c in range(n)
+    ]
+    cells = m * n
+    full = (1 << cells) - 1
+    marks = bytearray(((1 << cells) + 7) >> 3)
 
-    def rec(mask, cand):
-        family.add(mask)
+    def mark(basis):
+        comp = full ^ basis
+        marks[comp >> 3] |= 1 << (comp & 7)
+
+    def rec(mask, depth, cand):
+        if depth == rank - 1:
+            # every reduced candidate completes a basis
+            for j, _ in cand:
+                mark(mask | 1 << j)
+            return
         for pos, (j, col) in enumerate(cand):
+            if depth + len(cand) - pos < rank:
+                break
             lead = next(i for i, x in enumerate(col) if x)
             top = ops.scale(col, ops.inv(col[lead]), lead)
             survivors = []
@@ -389,10 +448,56 @@ def _independent_family(columns, ops) -> Set[int]:
                     if not any(col2):
                         continue
                 survivors.append((j2, col2))
-            rec(mask | 1 << j, survivors)
+            if depth + 1 + len(survivors) >= rank:
+                rec(mask | 1 << j, depth + 1, survivors)
 
-    rec(0, [(j, col) for j, col in enumerate(columns) if any(col)])
-    return family
+    if rank:
+        rec(0, 0, [(j, col) for j, col in enumerate(columns) if any(col)])
+    else:
+        mark(0)
+    bits = int.from_bytes(marks, "little")
+    for i in range(cells):
+        bits |= (bits & _bit_set_selector(i, cells)) >> (1 << i)
+    return bits
+
+
+def _majority(families: Sequence[int]) -> int:
+    """Bits set in more than half of the ints: a bit-sliced vote count,
+    least significant slice first, compared against len // 2 + 1."""
+    slices: List[int] = []
+    for carry in families:
+        for i, s in enumerate(slices):
+            slices[i], carry = s ^ carry, s & carry
+        if carry:
+            slices.append(carry)
+    need = len(families) // 2 + 1
+    if need >> len(slices):
+        return 0
+    # equal starts as every bit; need's top bit masks it to a slice
+    above, equal = 0, -1
+    for i in reversed(range(len(slices))):
+        if need >> i & 1:
+            equal &= slices[i]
+        else:
+            above |= equal & slices[i]
+            equal &= ~slices[i]
+    return above | equal
+
+
+def _first_pattern(bits: int) -> int:
+    """The set bit e of bits whose pattern has the fewest cells, ties going
+    to the lower sorted cell list (the lowest cell where two masks differ
+    belongs to it); one scan of the binary string, lowest bit first."""
+    s = bin(bits)[:1:-1]
+    best = e = s.find("1")
+    size = best.bit_count()
+    while True:
+        e = s.find("1", e + 1)
+        if e < 0:
+            return best
+        k = e.bit_count()
+        if k < size or (k == size and e & (e ^ best) & -(e ^ best)):
+            best, size = e, k
 
 
 def _cells_of(mask: int, cells: int) -> List[int]:
@@ -403,41 +508,18 @@ def _cols_rank(columns, idxs, ops) -> int:
     return len(eliminate([list(columns[j]) for j in idxs], ops)[0])
 
 
-def _actual_int_columns(spec: TensorCodeSpec):
-    """Tensor parity-check columns as canonical indices of the code's field."""
-    hcol = generator_matrix(dual_code(spec.col_code))
-    hrow = generator_matrix(dual_code(spec.row_code))
-    rows = _tensor_layout(
-        [[x.to_int() for x in row] for row in hcol.rows],
-        [[x.to_int() for x in row] for row in hrow.rows],
-        spec.m,
-        spec.n,
-        0,
-    )
-    return [[row[j] for row in rows] for j in range(spec.m * spec.n)]
-
-
-def _generic_int_columns(m, n, a, b, rng):
-    p = GENERIC_ORACLE_PRIME
-    hcol = [[rng.randrange(p) for _ in range(m)] for _ in range(a)]
-    hrow = [[rng.randrange(p) for _ in range(n)] for _ in range(b)]
-    rows = _tensor_layout(hcol, hrow, m, n, 0)
-    return [[row[j] for row in rows] for j in range(m * n)]
-
-
 # majority-vote generic families, cached by shape; the oracle is seeded, so
 # every spec of the same shape shares one family, and the cache is bounded
-# because one family of a large grid can hold millions of patterns
+# because a family is one 2^(m*n)-bit int (128 KB at twenty cells)
 @functools.lru_cache(maxsize=8)
-def _generic_family(m, n, a, b, trials, seed) -> FrozenSet[int]:
+def _generic_family(m, n, a, b, trials, seed) -> int:
     rng = random.Random(seed)
     ops = ModPOps(GENERIC_ORACLE_PRIME)
-    votes: Dict[int, int] = {}
-    for _ in range(trials):
-        cols = _generic_int_columns(m, n, a, b, rng)
-        for e in _independent_family(cols, ops):
-            votes[e] = votes.get(e, 0) + 1
-    return frozenset(e for e, v in votes.items() if 2 * v > trials)
+    families = [
+        _correctable_bits(*_generic_checks(m, n, a, b, rng), m, n, ops)
+        for _ in range(trials)
+    ]
+    return _majority(families)
 
 
 def mr_check(
@@ -448,12 +530,16 @@ def mr_check(
 ) -> CheckReport:
     """Maximal recoverability: correctable patterns match the generic oracle.
 
-    A pattern E is correctable iff the E-indexed columns of the tensor
-    parity check are independent.  The actual family of correctable patterns
-    is compared against the family for random component codes over a large
-    prime field (majority over `trials` seeded runs).  All 2^(m*n) patterns
-    are decided when that count is within budget; otherwise a seeded uniform
-    sample of `budget` patterns is compared, with coverage in the detail.
+    A pattern E is correctable iff no nonzero codeword of C_col (x) C_row
+    lies inside E, i.e. iff the E-indexed columns of the tensor parity check
+    are independent.  The actual family of correctable patterns is compared
+    against the family for random component codes over a large prime field
+    (majority over `trials` seeded runs).  All 2^(m*n) patterns are decided
+    when that count is within budget: each family is one 2^(m*n)-bit int,
+    the down-closure of the complements of the bases of the tensor
+    generator's columns.  Otherwise a seeded uniform sample of `budget`
+    patterns is compared by column ranks of the parity check, with coverage
+    in the detail.
     """
     t0 = time.perf_counter()
     m, n, a, b = spec.m, spec.n, spec.a, spec.b
@@ -468,36 +554,38 @@ def mr_check(
         raise BudgetExceededError(
             f"field order {q} needs {q * q} table entries, over budget {budget}"
         )
-    act_cols = _actual_int_columns(spec)
     act_ops = TableOps(spec.row_code.field)
 
     if 2**cells <= budget:
-        fam_act = _independent_family(act_cols, act_ops)
-        fam_gen = _generic_family(m, n, a, b, trials, seed)
-        diff = fam_act ^ fam_gen
+        act = _correctable_bits(*_actual_checks(spec), m, n, act_ops)
+        gen = _generic_family(m, n, a, b, trials, seed)
+        diff = act ^ gen
         if diff:
-            e = min(diff, key=lambda s: (bin(s).count("1"), _cells_of(s, cells)))
+            e = _first_pattern(diff)
             side = (
                 "correctable generically but not by this code"
-                if e in fam_gen
+                if gen >> e & 1
                 else "correctable by this code but not generically"
             )
             pattern = ErasurePattern.from_indices(m, n, _cells_of(e, cells))
             detail = (
                 f"mode=exhaustive; pattern {pattern.format() or '(empty)'} "
-                f"{side}; {len(diff)} disagreements"
+                f"{side}; {diff.bit_count()} disagreements"
             )
             return _report(prop, False, 2**cells, t0, detail=detail)
         detail = (
-            f"mode=exhaustive; {len(fam_act)} of {2**cells} patterns correctable"
+            f"mode=exhaustive; {act.bit_count()} of {2**cells} patterns correctable"
         )
         return _report(prop, True, 2**cells, t0, detail=detail)
 
     # sampling mode
+    act_cols = _parity_columns(*_actual_checks(spec), m, n)
     rng = random.Random(seed)
     gen_ops = ModPOps(GENERIC_ORACLE_PRIME)
     gen_runs = [
-        _generic_int_columns(m, n, a, b, random.Random(seed + 1 + i))
+        _parity_columns(
+            *_generic_checks(m, n, a, b, random.Random(seed + 1 + i)), m, n
+        )
         for i in range(trials)
     ]
     for _ in range(budget):

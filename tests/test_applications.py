@@ -7,7 +7,14 @@ import pytest
 from mdskit.applications import (
     ErasurePattern,
     TensorCodeSpec,
+    _actual_checks,
+    _cells_of,
+    _correctable_bits,
+    _first_pattern,
+    _generic_checks,
     _generic_family,
+    _majority,
+    _parity_columns,
     duality_test,
     ld_mds_check,
     mr_check,
@@ -16,20 +23,24 @@ from mdskit.applications import (
     tensor_parity,
     worst_case_ld_check,
 )
-from mdskit.codes import dual_code, explicit_code, rs_code
+from mdskit.codes import GENERIC_ORACLE_PRIME, dual_code, explicit_code, rs_code
 from mdskit.errors import (
     BudgetExceededError,
     FieldMismatchError,
     SizeConstraintError,
 )
 from mdskit.fields import field_make
-from mdskit.linalg import MatrixF, rank
+from mdskit.linalg import MatrixF, ModPOps, TableOps, rank
 from mdskit.mdscheck import is_mds, is_mds_ell
 
 F2 = field_make(2, [])
 F3 = field_make(3, [])
 F5 = field_make(5, [])
 F7 = field_make(7, [])
+F4 = field_make(2, [2])
+F8 = field_make(2, [3])
+F9 = field_make(3, [2])
+F11 = field_make(11, [])
 
 
 def _rs(field, n, k):
@@ -38,7 +49,7 @@ def _rs(field, n, k):
 
 def _random_code(rng, field, q, n, k):
     while True:
-        rows = [[field.element(rng.randrange(q)) for _ in range(n)] for _ in range(k)]
+        rows = [[field.from_int(rng.randrange(q)) for _ in range(n)] for _ in range(k)]
         if rank(MatrixF(field, rows)) == k:
             return explicit_code(field, rows)
 
@@ -357,3 +368,145 @@ def test_mr_validation():
     full_col = _rs(F5, 3, 3)
     with pytest.raises(SizeConstraintError):
         mr_check(TensorCodeSpec(full_col, _rs(F5, 5, 3)))
+
+
+# -- correctable families against the parity-column reference ------------------------
+
+
+def _reference_family(columns, ops):
+    """Every linearly independent set of parity-check columns, as masks:
+    depth first, candidates kept reduced against the current set, and one
+    that reduces to zero dropped from the whole subtree."""
+    family = set()
+
+    def rec(mask, cand):
+        family.add(mask)
+        for pos, (j, col) in enumerate(cand):
+            lead = next(i for i, x in enumerate(col) if x)
+            top = ops.scale(col, ops.inv(col[lead]), lead)
+            survivors = []
+            for j2, col2 in cand[pos + 1 :]:
+                if col2[lead]:
+                    col2 = ops.sub_multiple(col2, top, col2[lead], lead)
+                    if not any(col2):
+                        continue
+                survivors.append((j2, col2))
+            rec(mask | 1 << j, survivors)
+
+    rec(0, [(j, col) for j, col in enumerate(columns) if any(col)])
+    return family
+
+
+def _as_bits(masks):
+    bits = 0
+    for e in masks:
+        bits |= 1 << e
+    return bits
+
+
+def _vote(families, trials):
+    votes = {}
+    for family in families:
+        for e in family:
+            votes[e] = votes.get(e, 0) + 1
+    return {e for e, v in votes.items() if 2 * v > trials}
+
+
+def _row_codes(field):
+    """An MDS row code, a non-MDS one (columns 0 and 3 equal), one with a
+    zero column and a full one (b = 0)."""
+    o, z = field.one, field.zero
+    return [
+        single_parity_code(field, 4),
+        explicit_code(field, [[o, z, o, o], [z, o, o, z]]),
+        explicit_code(field, [[o, z, o, z], [z, o, o, z]]),
+        explicit_code(field, [[o, z, z], [z, o, z], [z, z, o]]),
+    ]
+
+
+@pytest.mark.parametrize("field", [F2, F4, F5, F7, F9], ids=lambda f: f"gf{f.order}")
+def test_correctable_bits_match_parity_column_reference(field):
+    rng = random.Random(field.order)
+    cols = [
+        single_parity_code(field, 2),
+        single_parity_code(field, 3),
+        explicit_code(field, [[field.one] * 3]),  # repetition code: a = 2
+    ]
+    ops = TableOps(field)
+    for col in cols:
+        for row in _row_codes(field) + [_random_code(rng, field, field.order, 4, 2)]:
+            spec = TensorCodeSpec(col, row)
+            m, n = spec.m, spec.n
+            checks = _actual_checks(spec)
+            want = _reference_family(_parity_columns(*checks, m, n), ops)
+            assert _correctable_bits(*checks, m, n, ops) == _as_bits(want)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 3, 1, 1), (3, 3, 1, 1), (2, 4, 1, 2), (3, 4, 2, 1), (3, 3, 1, 0), (3, 4, 1, 3)]
+)
+def test_generic_correctable_bits_match_parity_column_reference(shape):
+    m, n, a, b = shape
+    ops = ModPOps(GENERIC_ORACLE_PRIME)
+    rng = random.Random(sum(shape))
+    for _ in range(2):
+        checks = _generic_checks(m, n, a, b, rng)
+        want = _reference_family(_parity_columns(*checks, m, n), ops)
+        assert _correctable_bits(*checks, m, n, ops) == _as_bits(want)
+
+
+@pytest.mark.parametrize("trials", range(6))
+def test_majority_matches_dict_vote(trials):
+    # random codes over GF(2) disagree with each other, so the vote has ties
+    rng = random.Random(trials)
+    ops = TableOps(F2)
+    col = single_parity_code(F2, 2)
+    families = []
+    for _ in range(trials):
+        spec = TensorCodeSpec(col, _random_code(rng, F2, 2, 4, 2))
+        families.append(_reference_family(_parity_columns(*_actual_checks(spec), 2, 4), ops))
+    got = _majority([_as_bits(f) for f in families])
+    assert got == _as_bits(_vote(families, trials))
+
+
+@pytest.mark.parametrize("trials", range(6))
+def test_generic_family_matches_dict_vote(trials):
+    m, n, a, b = 2, 4, 1, 2
+    rng = random.Random(99)
+    ops = ModPOps(GENERIC_ORACLE_PRIME)
+    families = [
+        _reference_family(_parity_columns(*_generic_checks(m, n, a, b, rng), m, n), ops)
+        for _ in range(trials)
+    ]
+    assert _generic_family(m, n, a, b, trials, 99) == _as_bits(_vote(families, trials))
+
+
+def test_first_pattern_is_fewest_cells_then_lowest_cells():
+    rng = random.Random(5)
+    for cells in (1, 3, 6, 9):
+        for _ in range(40):
+            bits = rng.getrandbits(1 << cells) | 1 << rng.randrange(1 << cells)
+            want = min(
+                (e for e in range(1 << cells) if bits >> e & 1),
+                key=lambda e: (bin(e).count("1"), _cells_of(e, cells)),
+            )
+            assert _first_pattern(bits) == want
+
+
+@pytest.mark.parametrize("field", [F7, F8, F9, F11], ids=lambda f: f"gf{f.order}")
+def test_mr_matches_mds_order_m4(field):
+    # m = 4, n = 4: all 2^16 patterns are decided; rows that pass MDS(4)
+    # pass mr and rows that fail it fail mr, for [4, 2] and [4, 3] rows
+    rng = random.Random(field.order)
+    col = single_parity_code(field, 4)
+    for k in (2, 3):
+        seen = set()
+        while len(seen) < 2:
+            row = _random_code(rng, field, field.order, 4, k)
+            verdict = is_mds_ell(row, 4).ok
+            if verdict in seen:
+                continue
+            r = mr_check(TensorCodeSpec(col, row))
+            assert "mode=exhaustive" in r.detail
+            assert r.ok == verdict
+            seen.add(verdict)

@@ -116,12 +116,19 @@ def tuple_s_poly(f, g, order):
 
 def tuple_buchberger(gens, order):
     """Reduced Groebner basis: every S-pair but those of coprime leads
-    (Buchberger's first criterion), then minimal, interreduced, monic and
-    sorted by lead."""
+    (Buchberger's first criterion), the pair with the smallest lcm of leads
+    first (the normal selection strategy), then minimal, interreduced, monic
+    and sorted by lead."""
+
+    def lcm_key(pair):
+        a, b = (basis[i].lead(order)[0] for i in pair)
+        return order.key(tuple(max(x, y) for x, y in zip(a, b)))
+
     basis = [g for g in gens if not g.is_zero()]
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
-        i, j = pairs.pop()
+        i, j = pair = min(pairs, key=lcm_key)
+        pairs.remove(pair)
         a, b = basis[i].lead(order)[0], basis[j].lead(order)[0]
         if not any(x and y for x, y in zip(a, b)):
             continue
