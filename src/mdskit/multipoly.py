@@ -10,10 +10,19 @@ over F_p; evaluation may land in any extension of F_p.
 (`gb_reduce`) and Buchberger (`buchberger`) pack each monomial into one int
 for the chosen order (`MonomialOrder.packing`) on entry and unpack on exit:
 comparing, multiplying and dividing monomials there are int comparison,
-addition and one subtract-and-mask, and the working heaps hold plain ints."""
+addition and one subtract-and-mask, and the working heaps hold plain ints.
+
+A packing is shared per (order, arity, field width), and a `SparsePoly` is
+immutable, so each polynomial memoizes its degree and its packed divisor per
+packing: a basis is packed once, on its first `gb_reduce`, not on every call.
+The division kernel (`_reduce`) keeps its working coefficients unreduced and
+reduces a term mod p only when it is popped, in the manner of Monagan and
+Pearce's heap division; every monomial it adds lies below the one just
+popped, so each enters the heap at most once and no entry goes stale."""
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import operator
@@ -83,12 +92,17 @@ class MonomialOrder:
     def packing(self, v: int, cap: int) -> "MonomialPacking":
         """The packing of monomials in v variables whose exponents and total
         degree are at most `cap` (rounded up to one less than a power of
-        two)."""
+        two); one shared object per order, v and field width."""
         if self.perm is not None and len(self.perm) != v:
             raise ArityMismatchError(
                 f"order over {len(self.perm)} variables, polynomials in {v}"
             )
-        return MonomialPacking(self, v, cap)
+        return _packing(self, v, max(cap, 0).bit_length() + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _packing(order: MonomialOrder, v: int, bits: int) -> "MonomialPacking":
+    return MonomialPacking(order, v, (1 << (bits - 1)) - 1)
 
 
 class MonomialPacking:
@@ -154,9 +168,14 @@ LEX = MonomialOrder("lex")
 
 
 class SparsePoly:
-    """Polynomial over F_p in v variables, term dict exp -> coeff."""
+    """Polynomial over F_p in v variables, term dict exp -> coeff.
 
-    __slots__ = ("p", "v", "terms")
+    A SparsePoly is immutable: every operation returns a new one and nothing
+    changes `terms` in place.  That is what lets it memoize, in `_memo`, its
+    degree and its packed divisor per packing; the memo takes no part in
+    equality, hashing or printing."""
+
+    __slots__ = ("p", "v", "terms", "_memo")
 
     def __init__(self, p: int, v: int, terms: Optional[Dict[Exp, int]] = None):
         if not is_prime(p):
@@ -176,6 +195,7 @@ class SparsePoly:
                         raise DegreeMismatchError(f"negative exponent in {exp!r}")
                     clean[tuple(exp)] = c
         self.terms = clean
+        self._memo = None
 
     # constructors
 
@@ -185,7 +205,7 @@ class SparsePoly:
         (nonnegative exponent tuples of length v, coefficients 1..p-1),
         skipping the validation that __init__ gives outside input."""
         out = cls.__new__(cls)
-        out.p, out.v, out.terms = p, v, terms
+        out.p, out.v, out.terms, out._memo = p, v, terms, None
         return out
 
     @classmethod
@@ -217,13 +237,27 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _memoized(self, key, make):
+        """The memo entry for `key` (the degree, or a packing's divisor),
+        made by `make()` on first use."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return self._memoized(
+            "degree", lambda: max((sum(e) for e in self.terms), default=0)
+        )
 
     def var_degree(self, i: int) -> int:
         return max((e[i] for e in self.terms), default=0)
 
     def lead(self, order: MonomialOrder = DEGREVLEX) -> Tuple[Exp, int]:
+        if not self.terms:
+            raise DegreeMismatchError("the zero polynomial has no lead term")
         exp = max(self.terms, key=order.key)
         return exp, self.terms[exp]
 
@@ -232,6 +266,8 @@ class SparsePoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = SparsePoly.const(self.p, self.v, other)
+        elif not isinstance(other, SparsePoly):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         p = self.p
@@ -253,9 +289,13 @@ class SparsePoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = SparsePoly.const(self.p, self.v, other)
+        elif not isinstance(other, SparsePoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -264,6 +304,8 @@ class SparsePoly:
             return SparsePoly(
                 self.p, self.v, {e: (x * c) % self.p for e, x in self.terms.items()}
             )
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
         self._check(other)
         p = self.p
         out: Dict[Exp, int] = {}
@@ -557,19 +599,22 @@ def _reduce(work: Dict[int, int], divisors, p: int, mask: int) -> Dict[int, int]
     """Normal form of the packed polynomial `work` (consumed) modulo the
     divisors, the first divisor whose lead divides a term reducing it.
 
-    Terms are consumed highest-first off a lazy-deletion heap of negated
-    packed monomials, so large quotient chains stay near
-    O(steps * log terms) instead of rescanning the working dict per step.
+    Terms are consumed highest-first off a heap of negated packed monomials.
+    Coefficients in `work` stay unreduced integers: a term is reduced mod p
+    only when it is popped, and dropped if that gives 0.  Every monomial a
+    divisor's tail adds lies below the one just popped, so a monomial enters
+    the heap once, when it first enters `work`, and every pop is live.
     A new monomial with a guard bit set is an overflow: it is checked where
-    it would enter `work`, so no overflowed int ever meets a valid one."""
+    it first enters `work`, so no overflowed int ever meets a valid one."""
     heap = [-m for m in work]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     remainder: Dict[int, int] = {}
     while heap:
-        m = -heapq.heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
-            continue  # stale entry: the term cancelled earlier
+        m = -pop(heap)
+        c = work.pop(m) % p
+        if not c:
+            continue
         for adj, inv, tail in divisors:
             if not (m - adj) & mask:
                 break
@@ -583,14 +628,10 @@ def _reduce(work: Dict[int, int], divisors, p: int, mask: int) -> Dict[int, int]
             if old is None:
                 if t & mask:
                     raise _Overflow
-                heapq.heappush(heap, -t)
-                work[t] = -factor * gc % p
+                push(heap, -t)
+                work[t] = -factor * gc
             else:
-                s = (old - factor * gc) % p
-                if s:
-                    work[t] = s
-                else:
-                    del work[t]
+                work[t] = old - factor * gc
     return remainder
 
 
@@ -600,10 +641,11 @@ def gb_reduce(
     """Full normal form of f modulo the basis: no remainder term is
     divisible by any basis lead term.
 
-    f and the basis are packed once for the order, in fields that hold
-    their largest total degree; a reduction that outgrows them (possible
-    under lex, never under degrevlex) starts again one bit per field
-    wider."""
+    f is packed for the order in fields that hold the largest total degree
+    of f and the basis; a reduction that outgrows them (possible under lex,
+    never under degrevlex) starts again one bit per field wider.  Each basis
+    polynomial is packed into a divisor once per packing and keeps it in its
+    memo, so a basis reused across calls is not packed again."""
     polys = [g for g in basis if not g.is_zero()]
     for g in polys:
         f._check(g)
@@ -611,7 +653,10 @@ def gb_reduce(
     cap = max(g.degree() for g in [f, *polys])
 
     def run(pk: MonomialPacking) -> Dict[int, int]:
-        divisors = [_divisor(pk.encode_terms(g.terms), pk, p) for g in polys]
+        divisors = [
+            g._memoized(pk, lambda: _divisor(pk.encode_terms(g.terms), pk, p))
+            for g in polys
+        ]
         return _reduce(pk.encode_terms(f.terms), divisors, p, pk.mask)
 
     pk, remainder = _run_packed(order, f.v, cap, run)

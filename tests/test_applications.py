@@ -23,7 +23,13 @@ from mdskit.applications import (
     tensor_parity,
     worst_case_ld_check,
 )
-from mdskit.codes import GENERIC_ORACLE_PRIME, dual_code, explicit_code, rs_code
+from mdskit.codes import (
+    GENERIC_ORACLE_PRIME,
+    dual_code,
+    explicit_code,
+    generator_matrix,
+    rs_code,
+)
 from mdskit.errors import (
     BudgetExceededError,
     FieldMismatchError,
@@ -203,6 +209,35 @@ def test_duality_agreement_random_pool():
         r = duality_test(code, 2)
         assert r.ok, f"disagreement on [{n},{k}] over F{q}: {r.detail}"
         tested += 1
+
+
+def test_duality_agreement_small_k_over_extension_fields():
+    # k in {1, 2} with n from k (dual of dimension 0) up: scaled
+    # Reed-Solomon codes, and the same with a zero column or with one column
+    # a multiple of another, over GF(4) and GF(9)
+    rng = random.Random(12)
+    verdicts = set()
+    for field, q in ((F4, 4), (F9, 9)):
+        for k in (1, 2):
+            for n in range(k, min(q, 6) + 1):
+                points = [field.from_int(a) for a in rng.sample(range(q), n)]
+                scale = [field.from_int(rng.randrange(1, q)) for _ in range(n)]
+                rows = [
+                    [s * e for s, e in zip(scale, row)]
+                    for row in generator_matrix(rs_code(field, points, k)).rows
+                ]
+                damaged = [rows]
+                if n > k:
+                    c = field.from_int(rng.randrange(1, q))
+                    damaged.append([row[:-1] + [field.zero] for row in rows])
+                    damaged.append([row[:-1] + [c * row[0]] for row in rows])
+                for gen in damaged:
+                    code = explicit_code(field, gen)
+                    for ell in (1, 2):
+                        r = duality_test(code, ell)
+                        assert r.ok, f"[{n},{k}] over GF({q}), ell={ell}: {r.detail}"
+                        verdicts.add(r.detail.split()[0])
+    assert verdicts == {"mds(2)=pass", "mds(2)=fail", "mds(3)=pass", "mds(3)=fail"}
 
 
 # -- worst-case list decodability ----------------------------------------------------

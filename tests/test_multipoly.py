@@ -31,6 +31,7 @@ from mdskit.multipoly import (
     DEGREVLEX,
     LEX,
     MonomialOrder,
+    MonomialPacking,
     SparsePoly,
     _reduce_product,
     buchberger,
@@ -64,10 +65,11 @@ def rand_poly(rng, p, v, max_deg=3, max_terms=4):
 # criteria.
 
 
-def tuple_reduce(f, basis, order):
+def tuple_reduce(f, basis, order, stats=None):
     """Full normal form of f, each term reduced by the first basis element
     whose lead divides it; terms come highest-first off a lazy-deletion
-    heap keyed by the negated order key."""
+    heap keyed by the negated order key.  Given a `stats` dict, it counts
+    under "reappeared" the terms that cancelled and came back."""
 
     def neg_key(k):
         return tuple(-x if isinstance(x, int) else neg_key(x) for x in k)
@@ -77,6 +79,7 @@ def tuple_reduce(f, basis, order):
     work = dict(f.terms)
     heap = [(neg_key(order.key(e)), e) for e in work]
     heapq.heapify(heap)
+    cancelled = set()
     remainder = {}
     while heap:
         _, exp = heapq.heappop(heap)
@@ -99,9 +102,12 @@ def tuple_reduce(f, basis, order):
             if s:
                 if e not in work:
                     heapq.heappush(heap, (neg_key(order.key(e)), e))
+                    if stats is not None and e in cancelled:
+                        stats["reappeared"] = stats.get("reappeared", 0) + 1
                 work[e] = s
             else:
                 work.pop(e, None)
+                cancelled.add(e)
     return SparsePoly(p, f.v, remainder)
 
 
@@ -269,6 +275,28 @@ def test_mixed_characteristic_and_arity_rejected():
         gb_reduce(SparsePoly.const(5, 2, 1), [SparsePoly.const(5, 3, 1)])
     with pytest.raises(NotPrimeError):
         SparsePoly.const(6, 2, 1)
+
+
+def test_foreign_operand_raises_type_error():
+    x = V(5, 0, 2)
+    for op in (
+        lambda: x * 1.5,
+        lambda: 1.5 * x,
+        lambda: x + "a",
+        lambda: "a" + x,
+        lambda: x - 1.5,
+        lambda: 1.5 - x,
+        lambda: x * [1],
+    ):
+        with pytest.raises(TypeError):
+            op()
+    # ints still act as constants on either side
+    assert 3 - x == SparsePoly.const(5, 2, 3) - x and 2 * x == x + x
+
+
+def test_zero_polynomial_has_no_lead():
+    with pytest.raises(DegreeMismatchError, match="zero polynomial"):
+        SparsePoly.zero(7, 2).lead()
 
 
 # -- evaluation ------------------------------------------------------------------------
@@ -606,6 +634,98 @@ def test_overflow_repacks_wider(monkeypatch):
     gb = buchberger(gens, DEGREVLEX)
     assert gb == tuple_buchberger(gens, DEGREVLEX)
     assert len(caps) == 2 and caps[0] < caps[1]
+
+
+LAZY_PRIMES = [2, 3, 7, 2**31 - 1]
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("p", LAZY_PRIMES)
+def test_lazy_kernel_matches_tuple_oracle_when_terms_cancel(p, order):
+    # f = a*g + b*h + r over shared monomials: the quotient terms of g and h
+    # hit the same monomials, so terms cancel to 0 mod p and come back within
+    # one reduction, which the unreduced coefficients must survive
+    rng = random.Random(p)
+    monomials = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+
+    def dense_poly(n):
+        return SparsePoly(p, 3, {e: rng.randrange(1, p) for e in rng.sample(monomials, n)})
+
+    reappeared = 0
+    for _ in range(12):
+        g, h = dense_poly(4), dense_poly(4)
+        a, b, r = dense_poly(5), dense_poly(5), dense_poly(5)
+        f = a * g + b * h + r
+        stats = {}
+        want = tuple_reduce(f, [g, h], order, stats)
+        reappeared += stats.get("reappeared", 0)
+        assert gb_reduce(f, [g, h], order) == want
+        gb = buchberger([g, h], order, budget=10**4)
+        assert gb == tuple_buchberger([g, h], order)
+        assert gb_reduce(f, gb, order) == tuple_reduce(f, gb, order)
+    assert reappeared > 0
+
+
+def _spy_encodes(monkeypatch):
+    calls = []
+    encode_terms = MonomialPacking.encode_terms
+
+    def spy(self, terms):
+        calls.append(self.cap)
+        return encode_terms(self, terms)
+
+    monkeypatch.setattr(MonomialPacking, "encode_terms", spy)
+    return calls
+
+
+def test_overflow_restart_reuses_memoized_divisors(monkeypatch):
+    # y^14 packs the basis at cap 15 first; x^4*y then starts at cap 7,
+    # overflows (it reduces to y^13) and restarts at cap 15, where the
+    # divisor of x - y^3 is already memoized
+    p = 5
+    x, y = V(p, 0, 2), V(p, 1, 2)
+    basis = [x - y**3]
+    wide = y**14 + x
+    assert gb_reduce(wide, basis, LEX) == tuple_reduce(wide, basis, LEX)
+    caps = _spy_packings(monkeypatch)
+    encodes = _spy_encodes(monkeypatch)
+    f = x**4 * y
+    assert gb_reduce(f, basis, LEX) == y**13 == tuple_reduce(f, basis, LEX)
+    # f at cap 7, the divisor at cap 7, f again at cap 15: no divisor at 15
+    assert caps == [7, 15] and encodes == [7, 7, 15]
+    encodes.clear()
+    assert gb_reduce(f, basis, LEX) == y**13
+    assert encodes == [7, 15]
+
+
+def test_divisor_memo_is_per_packing(monkeypatch):
+    p = 7
+    x, y, z = (V(p, i, 3) for i in range(3))
+    basis = buchberger([x**2 - y * z, x * y - z**2, y**2 - x * z], DEGREVLEX)
+    before = [(hash(g), SparsePoly(p, 3, g.terms)) for g in basis]
+    rng = random.Random(11)
+    for order in (DEGREVLEX, LEX, DEGREVLEX):
+        for _ in range(10):
+            f = rand_poly(rng, p, 3, 3, 8)
+            assert gb_reduce(f, basis, order) == tuple_reduce(f, basis, order)
+    # f of degree 7, then 8, crosses a field width: cap 7, then cap 15
+    caps = _spy_packings(monkeypatch)
+    for f in (x**7 + y**3 * z, x**8 + y**2 * z**6):
+        for order in (DEGREVLEX, LEX):
+            assert gb_reduce(f, basis, order) == tuple_reduce(f, basis, order)
+    assert caps == [7, 7, 15, 15]
+    # serving as a divisor leaves hash, equality and printing alone
+    for g, (h, copy) in zip(basis, before):
+        assert hash(g) == h == hash(copy) and g == copy
+        assert repr(g) == repr(copy) and g.format(LEX) == copy.format(LEX)
+
+
+def test_packing_is_shared_per_field_width():
+    assert DEGREVLEX.packing(3, 4) is DEGREVLEX.packing(3, 7)
+    assert DEGREVLEX.packing(3, 7) is not DEGREVLEX.packing(3, 8)
+    assert DEGREVLEX.packing(3, 7) is not LEX.packing(3, 7)
+    assert DEGREVLEX.packing(3, 7) is not DEGREVLEX.packing(4, 7)
+    assert DEGREVLEX.packing(3, 8).cap == 15
 
 
 def test_buchberger_pair_count_pinned():
