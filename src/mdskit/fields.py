@@ -5,12 +5,14 @@ monic irreducible polynomial, so towers of arbitrary depth are built one
 level at a time.  An element is a dense tuple of base-p coefficients in
 reduced normal form, ordered mixed-radix with the bottom tower level varying
 fastest; the top level therefore sees an element as contiguous blocks over
-the field one level down, which is what the recursive inverse exploits.
+the field one level down.
 
-Multiplication works term-by-term on the sparse supports with per-level
-modular reduction.  Products of sparse tower elements stay cheap even when
-the total degree runs into the thousands, which is the regime the deep
-binomial towers live in.
+Both products and inverses treat an extension level that way, as
+polynomials over the level below in that field's backend: a product is a
+multiply modulo the minimal polynomial, an inverse extended Euclid modulo
+it, so each level's arithmetic runs on the arithmetic of the level below.
+Zero coefficients are skipped, which keeps products of sparse elements
+cheap in the deep binomial towers.
 
 Four arithmetic backends serve every computation on lists of field
 elements, here and in :mod:`mdskit.linalg`; :func:`field_ops` picks one from
@@ -33,9 +35,8 @@ Each has an ``encode``/``decode`` pair to and from FieldElements, two row
 operations (subtract a multiple of one list from another, scale a list)
 and multiply, negate and inverse.  A polynomial over a field is a list of
 coefficients in its backend's encoding, and all polynomial arithmetic runs
-through those operations: the inverse of a tower element (extended Euclid
-modulo the minimal polynomial, over the level below) and the irreducibility
-test.
+through those operations: the product and inverse of a tower element and
+the irreducibility test.
 
 Irreducibility of a supplied minimal polynomial is verified at construction
 time.  Over small fields Ben-Or's test is used: gcd(x^(q^i) - x, f) = 1 for
@@ -60,6 +61,7 @@ from .errors import (
     FieldMismatchError,
     NotPrimeError,
     ReduciblePolynomialError,
+    SizeConstraintError,
 )
 
 __all__ = [
@@ -92,9 +94,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _GENERIC_TEST_BITS = 128
 
 # Extension fields up to this order get lookup tables.  Building them costs
-# 2 q^2 FieldElement operations, once per FieldSpec: measured 1 ms at q = 9,
-# 30 ms at 49, 133 ms at 64, 169 ms at 81 and 4.2 s at 256, against 7-33 ms
-# for one 12 x 12 determinant over FieldElements at those orders.
+# about q FieldElement multiplications and a few q^2 list lookups, once per
+# FieldSpec: measured 0.5 ms at q = 9, 3.6 ms at 49, 3.9 ms at 64, 7 ms at
+# 81 and 33 ms at 256, against 8-29 ms for one 12 x 12 determinant over
+# FieldElements at those orders (2-core x86-64 Linux, Python 3.11).
 TABLE_ORDER_LIMIT = 64
 
 
@@ -323,7 +326,7 @@ class FieldSpec:
         self._sig = self._signature()
         self._sig_hash = hash(self._sig)
         self._order: Optional[int] = None
-        self._level_red: Optional[List[dict]] = None
+        self._level_ops: Optional[Tuple[object, list]] = None
         self._index_tables: Optional[IndexTables] = None
         self._packing: Optional[Packing] = None
         self.zero = FieldElement(self, (0,) * self.D)
@@ -437,33 +440,6 @@ class FieldSpec:
 
     # -- arithmetic kernels ---------------------------------------------------
 
-    def _build_level_tables(self) -> List[dict]:
-        # _level_red[i] maps a full-length exponent tuple to an int coefficient,
-        # expressing x_i^{d_i} as a combination of strictly lower monomials
-        t = len(self.dims)
-        tables: List[dict] = []
-        for i, level in enumerate(self.tower()[1:]):
-            assert level.mod_tail is not None
-            table: dict = {}
-            for j, coeff in enumerate(level.mod_tail):
-                for subidx, c in enumerate(coeff):
-                    if not c:
-                        continue
-                    exp = [0] * t
-                    rem = subidx
-                    for lv in range(i):
-                        rem, exp[lv] = divmod(rem, self.dims[lv])
-                    exp[i] = j
-                    key = tuple(exp)
-                    table[key] = (table.get(key, 0) - c) % self.p
-            tables.append(table)
-        return tables
-
-    def _tables(self) -> List[dict]:
-        if self._level_red is None:
-            self._level_red = self._build_level_tables()
-        return self._level_red
-
     def index_tables(self) -> "IndexTables":
         """Arithmetic tables over canonical indices, built on first use."""
         if self._index_tables is None:
@@ -477,87 +453,45 @@ class FieldSpec:
             self._packing = Packing(self)
         return self._packing
 
+    def _level(self) -> Tuple[object, list]:
+        """The base field's backend and the minimal polynomial's tail in its
+        encoding, built on first use: an element of this level is a
+        polynomial of degree below ``degree`` over the base field."""
+        if self._level_ops is None:
+            ops = field_ops(self.base)
+            self._level_ops = (ops, self._blocks(ops, sum(self.mod_tail, ())))
+        return self._level_ops
+
+    def _blocks(self, ops, c: Tuple[int, ...]) -> list:
+        # coefficients over the base field, lowest degree first, encoded
+        base, s = self.base, self.base.D
+        return [
+            ops.encode(FieldElement(base, c[j * s : (j + 1) * s]))
+            for j in range(self.degree)
+        ]
+
+    def _flatten(self, ops, blocks: list) -> Tuple[int, ...]:
+        flat: List[int] = []
+        for v in blocks:
+            flat.extend(ops.decode(v).coeffs)
+        return tuple(flat) + (0,) * (self.D - len(flat))
+
     def _mul(self, ca: Tuple[int, ...], cb: Tuple[int, ...]) -> Tuple[int, ...]:
-        p = self.p
         if not self.dims:
-            return ((ca[0] * cb[0]) % p,)
-        ta = [(i, c) for i, c in enumerate(ca) if c]
-        if not ta:
-            return self.zero.coeffs
-        tb = [(i, c) for i, c in enumerate(cb) if c]
-        if not tb:
-            return self.zero.coeffs
-        dims = self.dims
-        t = len(dims)
-
-        def exp_of(idx: int) -> Tuple[int, ...]:
-            out = []
-            for d in dims:
-                idx, e = divmod(idx, d)
-                out.append(e)
-            return tuple(out)
-
-        ea = [(exp_of(i), c) for i, c in ta]
-        eb = [(exp_of(i), c) for i, c in tb]
-        acc: dict = {}
-        for xa, caa in ea:
-            for xb, cbb in eb:
-                key = tuple(u + v for u, v in zip(xa, xb))
-                acc[key] = (acc.get(key, 0) + caa * cbb) % p
-
-        work = [e for e in acc if any(e[i] >= dims[i] for i in range(t))]
-        tables = self._tables()
-        while work:
-            exp = work.pop()
-            c = acc.pop(exp, 0)
-            if not c:
-                continue
-            lev = t - 1
-            while exp[lev] < dims[lev]:
-                lev -= 1
-            rest = list(exp)
-            rest[lev] -= dims[lev]
-            for bexp, bc in tables[lev].items():
-                ne = tuple(r + b for r, b in zip(rest, bexp))
-                nv = (acc.get(ne, 0) + c * bc) % p
-                if nv:
-                    if ne not in acc and any(
-                        ne[i] >= dims[i] for i in range(t)
-                    ):
-                        work.append(ne)
-                    acc[ne] = nv
-                else:
-                    acc.pop(ne, None)
-
-        out = [0] * self.D
-        strides = self.strides
-        for exp, c in acc.items():
-            idx = 0
-            for e, s in zip(exp, strides):
-                idx += e * s
-            out[idx] = c
-        return tuple(out)
+            return ((ca[0] * cb[0]) % self.p,)
+        ops, tail = self._level()
+        prod = _p_mulmod(ops, self._blocks(ops, ca), self._blocks(ops, cb), tail)
+        return self._flatten(ops, prod)
 
     def _inv(self, c: Tuple[int, ...]) -> Tuple[int, ...]:
         if not any(c):
             raise DivisionByZeroError(f"zero has no inverse in {self!r}")
         if not self.dims:
             return (pow(c[0], -1, self.p),)
-        # c is a polynomial over the base field modulo the minimal polynomial
-        base = self.base
-        assert base is not None and self.mod_tail is not None
-        ops = field_ops(base)
-        s = base.D
-        a = [
-            ops.encode(FieldElement(base, c[j * s : (j + 1) * s]))
-            for j in range(self.degree)
-        ]
-        modulus = [ops.encode(FieldElement(base, t)) for t in self.mod_tail]
-        u = _poly_inverse_mod(ops, a, modulus + [ops.one])
-        flat: List[int] = []
-        for v in u:
-            flat.extend(ops.decode(v).coeffs)
-        return tuple(flat) + (0,) * (self.D - len(flat))
+        # extended Euclid modulo the minimal polynomial, over the base field
+        ops, tail = self._level()
+        u = _poly_inverse_mod(ops, self._blocks(ops, c), tail + [ops.one])
+        return self._flatten(ops, u)
 
     # -- extension ------------------------------------------------------------
 
@@ -673,17 +607,39 @@ class IndexTables:
 
     Element i is ``field.from_int(i)``, so 0 is zero and 1 is one.  ``add``
     and ``mul`` are q x q tables, ``neg`` and ``inv`` have q entries
-    (``inv[0]`` is a placeholder).  Building costs q^2 field operations.
+    (``inv[0]`` is a placeholder).  ``add`` is built one base-p digit at a
+    time, lowest first.  ``mul`` and ``inv`` come from the powers of one
+    generator g of the multiplicative group, as g^(log a + log b) and
+    g^(-log a).  Building costs about q field multiplications and a few
+    q^2 list lookups.
     """
 
     __slots__ = ("add", "mul", "neg", "inv")
 
     def __init__(self, field: FieldSpec):
         els = list(field.elements())
-        self.add = [[(a + b).to_int() for b in els] for a in els]
-        self.mul = [[(a * b).to_int() for b in els] for a in els]
+        q, p = len(els), field.p
+        add = [[0]]
+        for _ in range(field.D):
+            # index a is a % p + p * (a // p), and digits add mod p
+            m = len(add) * p
+            add = [
+                [(a + b) % p + p * add[a // p][b // p] for b in range(m)]
+                for a in range(m)
+            ]
+        self.add = add
         self.neg = [(-a).to_int() for a in els]
-        self.inv = [0] + [row.index(1) for row in self.mul[1:]]
+        g = next(a for a in els[1:] if _mult_order(a) == q - 1)
+        power, log = [], [0] * q
+        x = field.one
+        for i in range(q - 1):
+            n = x.to_int()
+            power.append(n)
+            log[n] = i
+            x = x * g
+        twice, logs = power + power, log[1:]
+        self.mul = [[0] * q] + [[0] + [twice[i + j] for j in logs] for i in logs]
+        self.inv = [0] + [power[-i] for i in logs]
 
 
 class Packing:
@@ -1174,7 +1130,7 @@ def parse_field(text: str) -> FieldSpec:
             raise ValueError(f"unexpected line in field text: {ln!r}")
         parts = dict(kv.split("=", 1) for kv in ln[4:].split())
         d = int(parts["d"])
-        flat = [int(v) for v in parts["poly"].split(",")]
+        flat = _parse_digits(parts["poly"], p)
         if len(flat) != (d + 1) * f.D:
             raise DegreeMismatchError(
                 f"ext line needs {(d + 1) * f.D} integers, got {len(flat)}"
@@ -1190,8 +1146,17 @@ def format_element(a: FieldElement) -> str:
     return ",".join(str(v) for v in a.coeffs)
 
 
-def parse_element(field: FieldSpec, text: str) -> FieldElement:
+def _parse_digits(text: str, p: int) -> List[int]:
+    # base-p coefficients; anything outside 0..p-1 is refused, not reduced
     vals = [int(v) for v in text.strip().split(",")]
+    for v in vals:
+        if not 0 <= v < p:
+            raise SizeConstraintError(f"coefficient {v} is outside 0..{p - 1}")
+    return vals
+
+
+def parse_element(field: FieldSpec, text: str) -> FieldElement:
+    vals = _parse_digits(text, field.p)
     if len(vals) != field.D:
         raise DegreeMismatchError(
             f"element of {field!r} needs {field.D} coefficients, got {len(vals)}"

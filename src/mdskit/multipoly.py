@@ -323,7 +323,7 @@ class SparsePoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power")
+            raise DegreeMismatchError(f"negative power {n}")
         result = SparsePoly.const(self.p, self.v, 1)
         base = self
         while n:

@@ -117,6 +117,25 @@ def test_check_row_width_mismatch_exits_2(tmp_path, capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a row entry is one base-p coefficient: 9 and -3 are not in 0..6
+        "field p=7\ncode n=3 k=1 kind=explicit\nrow 1 9 -3\n",
+        # 4 is not a coefficient of GF(3), so this is not x^2 + 1
+        "field p=3\next d=2 poly=4,0,1\ncode n=2 k=1 kind=explicit\nrow 1,0 0,1\n",
+        # gen 8 is not gen 1 over GF(7): refused as out of range, not as a repeat
+        "field p=7\ncode n=2 k=1 kind=rs\ngen 1\ngen 8\n",
+    ],
+)
+def test_check_coefficient_outside_prime_field_exits_2(tmp_path, capsys, text):
+    path = _write(tmp_path, "range.txt", text)
+    rc = cli.main(["check", path, "--property", "mds"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and "outside 0.." in err
+
+
 def test_check_mr_requires_m(tmp_path, capsys):
     path = _write(tmp_path, "bad.txt", BAD42)
     rc = cli.main(["check", path, "--property", "mr"])

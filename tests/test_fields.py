@@ -19,6 +19,7 @@ from mdskit.fields import (
     FieldElement,
     FieldOps,
     FieldSpec,
+    IndexTables,
     PackedOps,
     _binomial_irreducible,
     _mult_order,
@@ -30,6 +31,7 @@ from mdskit.fields import (
     _poly_inverse_mod,
     extend_binomial_chain,
     field_make,
+    field_of_order,
     field_ops,
     find_irreducible,
     format_element,
@@ -631,3 +633,133 @@ def test_packing_is_built_once_per_field(monkeypatch):
         ops.mul(x, y)
     assert f.packing() is f.packing()
     assert built == [f]
+
+
+# -- tower arithmetic against the sparse level-table multiply --------------------------
+#
+# The oracle below multiplies independently of the level-over-base
+# arithmetic: term by term over exponent vectors, with x_i^(d_i) rewritten
+# through a per-level table of lower monomials.
+
+
+def _level_tables(f):
+    t = len(f.dims)
+    tables = []
+    for i, level in enumerate(f.tower()[1:]):
+        table = {}
+        for j, coeff in enumerate(level.mod_tail):
+            for subidx, c in enumerate(coeff):
+                if not c:
+                    continue
+                exp = [0] * t
+                rem = subidx
+                for lv in range(i):
+                    rem, exp[lv] = divmod(rem, f.dims[lv])
+                exp[i] = j
+                key = tuple(exp)
+                table[key] = (table.get(key, 0) - c) % f.p
+        tables.append(table)
+    return tables
+
+
+def level_table_mul(f, ca, cb):
+    p, dims, t = f.p, f.dims, len(f.dims)
+    if not dims:
+        return ((ca[0] * cb[0]) % p,)
+
+    def exp_of(idx):
+        out = []
+        for d in dims:
+            idx, e = divmod(idx, d)
+            out.append(e)
+        return tuple(out)
+
+    ea = [(exp_of(i), x) for i, x in enumerate(ca) if x]
+    eb = [(exp_of(j), y) for j, y in enumerate(cb) if y]
+    acc = {}
+    for xa, x in ea:
+        for xb, y in eb:
+            key = tuple(u + v for u, v in zip(xa, xb))
+            acc[key] = (acc.get(key, 0) + x * y) % p
+    work = [e for e in acc if any(e[i] >= dims[i] for i in range(t))]
+    tables = _level_tables(f)
+    while work:
+        exp = work.pop()
+        c = acc.pop(exp, 0)
+        if not c:
+            continue
+        lev = t - 1
+        while exp[lev] < dims[lev]:
+            lev -= 1
+        rest = list(exp)
+        rest[lev] -= dims[lev]
+        for bexp, bc in tables[lev].items():
+            ne = tuple(r + b for r, b in zip(rest, bexp))
+            nv = (acc.get(ne, 0) + c * bc) % p
+            if nv:
+                if ne not in acc and any(ne[i] >= dims[i] for i in range(t)):
+                    work.append(ne)
+                acc[ne] = nv
+            else:
+                acc.pop(ne, None)
+    out = [0] * f.D
+    for exp, c in acc.items():
+        out[sum(e * s for e, s in zip(exp, f.strides))] = c
+    return tuple(out)
+
+
+def _sparse_element(f, rng, terms):
+    c = [0] * f.D
+    for _ in range(terms):
+        c[rng.randrange(f.D)] = rng.randrange(1, f.p)
+    return f.element(c)
+
+
+_ORACLE_FIELDS = {
+    "GF(7)": F7,
+    "GF(9)": _F9,
+    "GF(11^4)": field_make(11, [4]),
+    "GF(3^8)=(2,4)": field_make(3, [2, 4]),
+    "GF(7^6)=(2,3)": field_make(7, [2, 3]),
+    "GF(2^12)=(3,2,2)": field_make(2, [3, 2, 2]),
+    "GF(9^64)": extend_binomial_chain(_F9, _F9.from_int(4), 8, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_FIELDS))
+def test_products_and_inverses_match_level_table_oracle(name):
+    f = _ORACLE_FIELDS[name]
+    rng = random.Random(name)
+    els = [f.zero, f.one] + ([f.gen(i) for i in range(len(f.dims))])
+    els += [_sparse_element(f, rng, rng.randrange(1, 4)) for _ in range(8)]
+    els += [f.random_element(rng) for _ in range(8 if f.D < 100 else 3)]
+    for a in els:
+        for b in els:
+            assert (a * b).coeffs == level_table_mul(f, a.coeffs, b.coeffs)
+        if a:
+            assert level_table_mul(f, a.coeffs, a.inverse().coeffs) == f.one.coeffs
+        else:
+            with pytest.raises(DivisionByZeroError):
+                a.inverse()
+
+
+def _product_tables(f):
+    els = list(f.elements())
+    mul = [[level_table_mul(f, a.coeffs, b.coeffs) for b in els] for a in els]
+    mul = [[FieldElement(f, c).to_int() for c in row] for row in mul]
+    return mul, [0] + [row.index(1) for row in mul[1:]]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [field_of_order(q) for q in (4, 8, 9, 16, 25, 27, 32, 49, 64, 81)]
+    + [field_make(2, [2, 2]), field_make(2, [2, 3]), field_make(2, [3, 2])]
+    + [F2, F7],
+    ids=lambda f: f"{f!r}{list(f.dims)}",
+)
+def test_index_tables_match_product_built_tables(f):
+    t = IndexTables(f)
+    els = list(f.elements())
+    assert (t.mul, t.inv) == _product_tables(f)
+    assert t.add == [[(a + b).to_int() for b in els] for a in els]
+    assert t.neg == [(-a).to_int() for a in els]

@@ -299,6 +299,13 @@ def test_zero_polynomial_has_no_lead():
         SparsePoly.zero(7, 2).lead()
 
 
+def test_negative_power_raises_degree_mismatch():
+    x = SparsePoly.variable(5, 2, 0)
+    with pytest.raises(DegreeMismatchError, match="negative power"):
+        x ** -1
+    assert x**0 == SparsePoly.const(5, 2, 1)
+
+
 # -- evaluation ------------------------------------------------------------------------
 
 
@@ -461,8 +468,9 @@ def test_twist_expansion_of_untwisted_slots_is_constant_in_twist():
     p0, p1, p2, p3 = gamma_expand_det3(slots)
     assert p1.is_zero() and p2.is_zero() and p3.is_zero()
     # p0 is the plain pairing determinant; vanishes when two slots collide
-    assert p0.eval([1, 2, 3, 4, 1, 2]) != 0 or True  # shape only
+    assert p0.eval([1, 2, 3, 4, 1, 2]) == 0
     assert p0.eval([1, 2, 1, 2, 3, 4]) == 0
+    assert p0.eval([1, 2, 3, 4, 5, 6]) == 10
 
 
 # -- division and Groebner bases -------------------------------------------------------
