@@ -371,18 +371,19 @@ def build_general(
         if top is not None:
             break
     assert top is not None  # a admissible anchor always exists nearby
+    # b^(j-1) * g_j is the base element b^(j-1) moved to the offset of the
+    # generator g_j, so each point is its blocks written into one dense list
     base_levels = len(base.dims)
-    gens = [top.gen(base_levels + j) for j in range(levels)]
+    offsets = [top.strides[base_levels + j] for j in range(levels)]
     b_points = _first_elements(base, n)
     points = []
     for b in b_points:
-        bt = top.element(b)
-        acc = top.zero
-        power = top.one
-        for g in gens:
-            acc = acc + power * g
-            power = power * bt
-        points.append(acc)
+        coeffs = [0] * top.D
+        power = base.one
+        for off in offsets:
+            coeffs[off : off + base.D] = power.coeffs
+            power = power * b
+        points.append(FieldElement(top, tuple(coeffs)))
     code = rs_code(top, points, k)
     return BuildResult(
         code,

@@ -40,7 +40,11 @@ the irreducibility test.
 
 Irreducibility of a supplied minimal polynomial is verified at construction
 time.  Over small fields Ben-Or's test is used: gcd(x^(q^i) - x, f) = 1 for
-every i up to half the degree.  Binomial levels x^d - g are additionally
+every i up to half the degree.  Over a prime field the powers x^(p^i) mod f
+are Kronecker-packed residues (:class:`Packing`, built from p and f), so a
+square-and-multiply step is one int product; over an extension base they
+are polynomial products through the base field's backend.  The gcds run
+through the backend in both cases.  Binomial levels x^d - g are additionally
 recognized as tower steps of a composed binomial y^t - c over the small
 field at the bottom of the chain, and certified through the classical
 criterion for irreducibility of binomials; that is the only verification
@@ -450,7 +454,8 @@ class FieldSpec:
         """Kronecker-packing data of a single-level extension, built on
         first use."""
         if self._packing is None:
-            self._packing = Packing(self)
+            assert self.base is not None and self.base.D == 1 and self.D > 1
+            self._packing = Packing(self.p, [t[0] for t in self.mod_tail])
         return self._packing
 
     def _level(self) -> Tuple[object, list]:
@@ -643,27 +648,33 @@ class IndexTables:
 
 
 class Packing:
-    """A single-level extension GF(p)[x]/(f) as Kronecker-packed ints.
+    """Residues modulo a monic f of degree D > 1 over GF(p), as
+    Kronecker-packed ints.
 
-    The element c_0 + c_1 x + ... + c_{D-1} x^(D-1) is the int
+    The residue c_0 + c_1 x + ... + c_{D-1} x^(D-1) is the int
     sum c_i 2^(w i) with every c_i in 0..p-1, so the encoding is canonical
-    and zero is 0.  A product of two elements has 2D - 1 slots of at most
+    and zero is 0.  A product of two residues has 2D - 1 slots of at most
     D (p-1)^2; folding its D - 1 high slots back with ``fold[j]``, the packed
     x^(D+j) mod f, adds at most (D-1)(p-1)^2 to a low slot, and adding a
-    third element at most p - 1 more.  The slot width w holds that bound,
+    third residue at most p - 1 more.  The slot width w holds that bound,
     rounded up to 8, 16, 32 or 64 bits when it fits, so that ``struct``
     splits and joins the slots in one call.
+
+    Nothing here needs f to be irreducible.  A single-level extension of a
+    prime field computes through it (see :class:`PackedOps`), and so does
+    Ben-Or's test over a prime field, for the products of x^(p^i) mod f.
     """
 
     __slots__ = (
-        "shift", "lo_bytes", "hi_bytes", "mask", "fold", "modulus",
+        "p", "shift", "lo_bytes", "hi_bytes", "mask", "fold", "modulus",
         "split_lo", "split_hi", "join",
     )
 
-    def __init__(self, field: FieldSpec):
-        p, d = field.p, field.D
-        assert field.base is not None and field.base.D == 1 and d > 1
-        assert field.mod_tail is not None
+    def __init__(self, p: int, tail: Sequence[int]):
+        # tail: the D low coefficients of f, in 0..p-1
+        d = len(tail)
+        assert d > 1
+        self.p = p
         bound = (2 * d - 1) * (p - 1) ** 2 + p - 1
         bits = bound.bit_length()
         nbytes = next((s for s in (1, 2, 4, 8) if 8 * s >= bits), -(-bits // 8))
@@ -678,15 +689,37 @@ class Packing:
         self.shift = 8 * self.lo_bytes
         self.mask = (1 << self.shift) - 1
         # x^D = -tail, then x^(D+j+1) = x * x^(D+j) reduced the same way
-        tail = [t[0] for t in field.mod_tail]
-        self.modulus = tail + [1]
+        self.modulus = list(tail) + [1]
         power = [-c % p for c in tail]
         fold = []
         for _ in range(d - 1):
             fold.append(power)
             top = power[-1]
             power = [(low - top * c) % p for low, c in zip([0] + power[:-1], tail)]
-        self.fold = [int.from_bytes(self.join(*pw), "little") for pw in fold]
+        self.fold = [self.pack(pw) for pw in fold]
+
+    def pack(self, cs: Sequence[int]) -> int:
+        """The packed int of D coefficients in 0..p-1, lowest first."""
+        return int.from_bytes(self.join(*cs), "little")
+
+    def unpack(self, a: int) -> Tuple[int, ...]:
+        """The D coefficients of a packed residue, lowest first."""
+        return self.split_lo(a.to_bytes(self.lo_bytes, "little"))
+
+    def mul(self, a: int, b: int) -> int:
+        """The packed residue of a * b."""
+        return self.reduce(a * b)
+
+    def reduce(self, x: int) -> int:
+        """The packed residue of x: up to 2D - 1 nonnegative slots within
+        the bound above, such as a product of two packed residues."""
+        p = self.p
+        hi = x >> self.shift
+        if hi:
+            hs = [h % p for h in self.split_hi(hi.to_bytes(self.hi_bytes, "little"))]
+            x = sum(map(operator.mul, hs, self.fold), x & self.mask)
+        cs = self.split_lo(x.to_bytes(self.lo_bytes, "little"))
+        return int.from_bytes(self.join(*[c % p for c in cs]), "little")
 
 
 def _byte_slots(nbytes: int):
@@ -835,43 +868,25 @@ class PackedOps:
         self.field = field
         self.p = field.p
         k = field.packing()
-        self.shift, self.lo_bytes, self.hi_bytes, self.mask = (
-            k.shift, k.lo_bytes, k.hi_bytes, k.mask
-        )
-        self.fold, self.split_lo, self.split_hi, self.join = (
-            k.fold, k.split_lo, k.split_hi, k.join
-        )
+        self.pack, self.unpack, self.mul = k.pack, k.unpack, k.mul
+        self._reduce = k.reduce
         self.base, self.modulus = ModPOps(field.p), k.modulus
 
-    def _reduce(self, x: int) -> int:
-        # x: up to 2D - 1 nonnegative slots within the Packing bound
-        p = self.p
-        hi = x >> self.shift
-        if hi:
-            hs = [h % p for h in self.split_hi(hi.to_bytes(self.hi_bytes, "little"))]
-            x = sum(map(operator.mul, hs, self.fold), x & self.mask)
-        cs = self.split_lo(x.to_bytes(self.lo_bytes, "little"))
-        return int.from_bytes(self.join(*[c % p for c in cs]), "little")
-
     def encode(self, a: FieldElement) -> int:
-        return int.from_bytes(self.join(*a.coeffs), "little")
+        return self.pack(a.coeffs)
 
     def decode(self, a: int) -> FieldElement:
-        return FieldElement(self.field, self.split_lo(a.to_bytes(self.lo_bytes, "little")))
-
-    def mul(self, a, b):
-        return self._reduce(a * b)
+        return FieldElement(self.field, self.unpack(a))
 
     def neg(self, a):
         p = self.p
-        cs = self.split_lo(a.to_bytes(self.lo_bytes, "little"))
-        return int.from_bytes(self.join(*[-c % p for c in cs]), "little")
+        return self.pack([-c % p for c in self.unpack(a)])
 
     def inv(self, a):
         # extended Euclid modulo the minimal polynomial, on ints mod p
-        cs = list(self.split_lo(a.to_bytes(self.lo_bytes, "little")))
+        cs = list(self.unpack(a))
         u = _poly_inverse_mod(self.base, cs, self.modulus)
-        return int.from_bytes(self.join(*u, *[0] * (len(cs) - len(u))), "little")
+        return self.pack(u + [0] * (len(cs) - len(u)))
 
     def sub_multiple(self, row, top, f, start):
         # row - f * top as row + (-f) * top, reduced once per entry
@@ -943,6 +958,12 @@ def _p_divmod(ops, a: list, b: list) -> Tuple[list, list]:
         shift = len(r) - 1 - db
         f = q[shift] = ops.mul(r[-1], lead_inv)
         r[shift:] = ops.sub_multiple(r[shift:], b, f, 0)
+        if r[-1]:
+            # a wrong inverse would otherwise repeat this step forever
+            raise DegreeMismatchError(
+                "a division step left the leading coefficient in place: "
+                "the backend's inverse is wrong"
+            )
         _p_trim(r)
     return q, r
 
@@ -968,14 +989,19 @@ def _p_mulmod(ops, a: list, b: list, tail: list) -> list:
     return out
 
 
-def _p_powmod(ops, a: list, e: int, tail: list) -> list:
-    """a^e (e >= 1) modulo the monic polynomial with this tail."""
+def _power(mul, a, e: int):
+    """a^e (e >= 1) by square-and-multiply with the product mul."""
     out = a
     for bit in bin(e)[3:]:
-        out = _p_mulmod(ops, out, out, tail)
+        out = mul(out, out)
         if bit == "1":
-            out = _p_mulmod(ops, out, a, tail)
+            out = mul(out, a)
     return out
+
+
+def _p_powmod(ops, a: list, e: int, tail: list) -> list:
+    """a^e (e >= 1) modulo the monic polynomial with this tail."""
+    return _power(lambda u, v: _p_mulmod(ops, u, v, tail), a, e)
 
 
 def _poly_inverse_mod(ops, a: list, modulus: list) -> list:
@@ -998,7 +1024,13 @@ def _poly_inverse_mod(ops, a: list, modulus: list) -> list:
 def poly_is_irreducible(field: FieldSpec, coeffs: Sequence[FieldElement]) -> bool:
     """Ben-Or's test: f of degree d is irreducible over GF(q) iff
     gcd(x^(q^i) - x, f) = 1 for all 1 <= i <= d/2.  coeffs run low-to-high;
-    f is made monic first, and a polynomial of degree < 1 is not irreducible."""
+    f is made monic first, and a polynomial of degree < 1 is not irreducible.
+
+    x^(q^i) mod f comes from x^(q^(i-1)) by square-and-multiply.  Over a
+    prime field each product is one int multiply of packed residues modulo
+    f (:class:`Packing`); over an extension field it is ``_p_mulmod``
+    through ``field_ops(field)``.  The gcd runs through ``field_ops(field)``
+    either way."""
     ops = field_ops(field)
     f = _p_trim([ops.encode(c) for c in coeffs])
     d = len(f) - 1
@@ -1009,11 +1041,19 @@ def poly_is_irreducible(field: FieldSpec, coeffs: Sequence[FieldElement]) -> boo
     tail = ops.scale(f[:-1], ops.inv(f[-1]), 0)
     f = tail + [ops.one]
     x = [ops.zero, ops.one] + [ops.zero] * (d - 2)
-    h = x
     q = field.order
+    if field.D == 1:
+        # residues as packed ints: a product is one int multiply and a fold
+        k = Packing(field.p, tail)
+        h = k.pack(x)
+        step = lambda u: _power(k.mul, u, q)  # noqa: E731
+        residue = lambda u: list(k.unpack(u))  # noqa: E731
+    else:
+        h, residue = x, list
+        step = lambda u: _p_powmod(ops, u, q, tail)  # noqa: E731
     for _ in range(d // 2):
-        h = _p_powmod(ops, h, q, tail)
-        if len(_p_gcd(ops, f, ops.sub_multiple(h, x, ops.one, 1))) != 1:
+        h = step(h)
+        if len(_p_gcd(ops, f, ops.sub_multiple(residue(h), x, ops.one, 1))) != 1:
             return False
     return True
 

@@ -186,18 +186,22 @@ def test_general_acceptance_shape():
 
 
 def test_general_point_formula():
-    r = build_general(4, 2, 2, per_level_degree=5)
-    top = r.code.field
-    levels = r.provenance["levels"]
-    base_levels = len(top.dims) - levels
-    gens = [top.gen(base_levels + j) for j in range(levels)]
-    b = top.from_int(r.provenance["b_points"][2])
-    expect = top.zero
-    power = top.one
-    for g in gens:
-        expect = expect + power * g
-        power = power * b
-    assert r.code.generators[2] == expect
+    # every point against sum_j b^(j-1) * g_j in dense tower arithmetic, on
+    # the two general-ell members of the benchmark and a small tower
+    for n, degree in ((4, 5), (4, None), (6, 8)):
+        r = build_general(n, 2, 2, per_level_degree=degree)
+        top = r.code.field
+        levels = r.provenance["levels"]
+        base_levels = len(top.dims) - levels
+        gens = [top.gen(base_levels + j) for j in range(levels)]
+        for i, bi in enumerate(r.provenance["b_points"]):
+            b = top.from_int(bi)
+            expect = top.zero
+            power = top.one
+            for g in gens:
+                expect = expect + power * g
+                power = power * b
+            assert r.code.generators[i] == expect
 
 
 def test_general_k1_trivial():

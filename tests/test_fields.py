@@ -20,7 +20,9 @@ from mdskit.fields import (
     FieldOps,
     FieldSpec,
     IndexTables,
+    ModPOps,
     PackedOps,
+    Packing,
     _binomial_irreducible,
     _mult_order,
     _p_divmod,
@@ -28,7 +30,9 @@ from mdskit.fields import (
     _p_mulmod,
     _p_powmod,
     _p_submul,
+    _p_trim,
     _poly_inverse_mod,
+    _power,
     extend_binomial_chain,
     field_make,
     field_of_order,
@@ -617,22 +621,126 @@ def test_packed_backend_matches_field_elements(data):
 def test_packing_is_built_once_per_field(monkeypatch):
     import mdskit.fields as fields_mod
 
+    # made first: Ben-Or's test of its minimal polynomial packs residues too
+    f = field_make(5, [4])
     built = []
     real = fields_mod.Packing
 
-    def counting(field):
-        built.append(field)
-        return real(field)
+    def counting(p, tail):
+        built.append((p, list(tail)))
+        return real(p, tail)
 
     monkeypatch.setattr(fields_mod, "Packing", counting)
-    f = field_make(5, [4])
     rng = random.Random(5)
     for _ in range(3):
         ops = field_ops(f)
         x, y = (ops.encode(f.random_element(rng)) for _ in range(2))
         ops.mul(x, y)
     assert f.packing() is f.packing()
-    assert built == [f]
+    assert built == [(5, [t[0] for t in f.mod_tail])]
+
+
+class _WrongInverse(ModPOps):
+    """GF(p) arithmetic whose inverse is off by one."""
+
+    def inv(self, a):
+        return (pow(a, -1, self.p) + 1) % self.p
+
+
+def test_division_with_a_wrong_inverse_raises():
+    # the leading coefficient never cancels; a division must stop, not loop
+    ops = _WrongInverse(7)
+    with pytest.raises(DegreeMismatchError):
+        _p_divmod(ops, [1, 2, 3, 4], [2, 3])
+    with pytest.raises(DegreeMismatchError):
+        _p_gcd(ops, [1, 2, 3, 4], [2, 3])
+    with pytest.raises(DegreeMismatchError):
+        _poly_inverse_mod(ops, [2, 3], [5, 0, 0, 1])
+
+
+# -- Ben-Or over prime fields: packed residues against the generic layer ---------------
+
+
+def _ben_or_reference(p, coeffs):
+    # Ben-Or on the generic polynomial layer: x^(p^i) mod f by _p_powmod over
+    # ModPOps, one Horner product per step
+    ops = ModPOps(p)
+    f = _p_trim([c % p for c in coeffs])
+    d = len(f) - 1
+    if d < 1:
+        return False
+    lead_inv = pow(f[-1], -1, p)
+    tail = [c * lead_inv % p for c in f[:-1]]
+    h = [0, 1] + [0] * (d - 2)
+    for _ in range(d // 2):
+        h = _p_powmod(ops, h, p, tail)
+        hx = h[:]
+        hx[1] = (hx[1] - 1) % p
+        if len(_p_gcd(ops, tail + [1], hx)) != 1:
+            return False
+    return True
+
+
+def _check_packed_ben_or(p, coeffs):
+    """poly_is_irreducible against the reference, and every packed
+    x^(p^i) mod f against _p_powmod; returns the verdict."""
+    f = field_make(p)
+    got = poly_is_irreducible(f, [f.element(c) for c in coeffs])
+    assert got == _ben_or_reference(p, coeffs), coeffs
+    trimmed = _p_trim([c % p for c in coeffs])
+    d = len(trimmed) - 1
+    if d >= 2:
+        lead_inv = pow(trimmed[-1], -1, p)
+        tail = [c * lead_inv % p for c in trimmed[:-1]]
+        k = Packing(p, tail)
+        x = [0, 1] + [0] * (d - 2)
+        packed, want = k.pack(x), x
+        for _ in range(d // 2):
+            packed = _power(k.mul, packed, p)
+            want = _p_powmod(ModPOps(p), want, p, tail)
+            assert list(k.unpack(packed)) == want, coeffs
+    return got
+
+
+def _random_int_polys(rng, p, d, count):
+    # degree exactly d, leading coefficient anywhere in 1..p-1
+    return [
+        [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("p", [41, 59])
+def test_packed_ben_or_matches_generic_at_degree_25(p):
+    rng = random.Random(p)
+    irreducible = _PINNED_IRREDUCIBLES[(p, 1, 25)]
+    polys = _random_int_polys(rng, p, 25, 10) + [
+        irreducible,
+        [3 * c % p for c in irreducible],  # not monic
+        [0] + irreducible[1:],  # divisible by x
+    ]
+    verdicts = [_check_packed_ben_or(p, c) for c in polys]
+    assert verdicts[-3:] == [True, True, False]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_packed_ben_or_matches_generic_on_narrow_slots(p):
+    rng = random.Random(p)
+    verdicts = set()
+    for d in range(2, 11):
+        for c in _random_int_polys(rng, p, d, 12) + [[0] * d + [1]]:
+            verdicts.add(_check_packed_ben_or(p, c))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 41])
+def test_ben_or_below_degree_two(p):
+    cases = [
+        ([], False), ([0], False), ([1], False), ([p - 1, 0, 0], False),
+        ([1, 1], True), ([0, 1], True), ([1, p - 1, 0], True),
+    ]
+    for coeffs, want in cases:
+        assert _check_packed_ben_or(p, coeffs) == want, coeffs
 
 
 # -- tower arithmetic against the sparse level-table multiply --------------------------
