@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Dict, List, Optional, Sequence
 
 from .acceptance import BUDGET_SECONDS, SUITES, run_criterion
@@ -100,11 +101,16 @@ def _cmd_construct(args) -> int:
     except MdskitError as exc:
         print(f"mdskit construct: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        built = construct(params)
-    except MdskitError as exc:
-        print(f"mdskit construct: construction failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    with warnings.catch_warnings():
+        # one line per warning, without the source path of the warn call
+        warnings.showwarning = lambda message, *_: print(
+            f"mdskit construct: warning: {message}", file=sys.stderr
+        )
+        try:
+            built = construct(params)
+        except MdskitError as exc:
+            print(f"mdskit construct: construction failed: {exc}", file=sys.stderr)
+            return EXIT_FAIL
     text = format_code(built.code, built.provenance)
     if args.out:
         with open(args.out, "w") as fh:

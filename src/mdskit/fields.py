@@ -7,13 +7,6 @@ reduced normal form, ordered mixed-radix with the bottom tower level varying
 fastest; the top level therefore sees an element as contiguous blocks over
 the field one level down.
 
-Both products and inverses treat an extension level that way, as
-polynomials over the level below in that field's backend: a product is a
-multiply modulo the minimal polynomial, an inverse extended Euclid modulo
-it, so each level's arithmetic runs on the arithmetic of the level below.
-Zero coefficients are skipped, which keeps products of sparse elements
-cheap in the deep binomial towers.
-
 Four arithmetic backends serve every computation on lists of field
 elements, here and in :mod:`mdskit.linalg`; :func:`field_ops` picks one from
 the field alone:
@@ -28,14 +21,18 @@ the field alone:
   fold with x^(D+j) mod f and a per-slot reduction mod p; it serves every
   other single-level extension of a prime field, through the packing data
   its FieldSpec builds once;
-* :class:`FieldOps` computes with FieldElements; it serves the multi-level
-  towers, including the deep binomial ones.
+* :class:`LevelOps` computes with an extension level's elements as
+  polynomials over the level below, in the base field's backend: a product
+  is a multiply modulo the minimal polynomial, an inverse extended Euclid
+  modulo it.  Zero coefficients are skipped, which keeps sparse elements of
+  the deep binomial towers cheap.  It serves the multi-level towers, and
+  the FieldElement product and inverse of every extension level.
 
 Each has an ``encode``/``decode`` pair to and from FieldElements, two row
 operations (subtract a multiple of one list from another, scale a list)
 and multiply, negate and inverse.  A polynomial over a field is a list of
 coefficients in its backend's encoding, and all polynomial arithmetic runs
-through those operations: the product and inverse of a tower element and
+through those operations: the product and inverse of a tower level and
 the irreducibility test.
 
 Irreducibility of a supplied minimal polynomial is verified at construction
@@ -83,7 +80,7 @@ __all__ = [
     "parse_field",
     "format_element",
     "parse_element",
-    "FieldOps",
+    "LevelOps",
     "TableOps",
     "ModPOps",
     "PackedOps",
@@ -234,7 +231,11 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.coeffs, o.coeffs))
+        f = self.field
+        if not f.dims:
+            return FieldElement(f, (self.coeffs[0] * o.coeffs[0] % f.p,))
+        ops = f._level()
+        return ops.decode(ops.mul(ops.encode(self), ops.encode(o)))
 
     __rmul__ = __mul__
 
@@ -251,20 +252,18 @@ class FieldElement:
         return o * self.inverse()
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inv(self.coeffs))
+        f = self.field
+        if not any(self.coeffs):
+            raise DivisionByZeroError(f"zero has no inverse in {f!r}")
+        if not f.dims:
+            return FieldElement(f, (pow(self.coeffs[0], -1, f.p),))
+        ops = f._level()
+        return ops.decode(ops.inv(ops.encode(self)))
 
     def __pow__(self, e: int) -> "FieldElement":
-        f = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        result = f.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(operator.mul, self, e) if e else self.field.one
 
     def _prime_value(self) -> Optional[int]:
         # the representative in 0..p-1 when the element lies in the prime field
@@ -330,7 +329,7 @@ class FieldSpec:
         self._sig = self._signature()
         self._sig_hash = hash(self._sig)
         self._order: Optional[int] = None
-        self._level_ops: Optional[Tuple[object, list]] = None
+        self._level_ops: Optional[LevelOps] = None
         self._index_tables: Optional[IndexTables] = None
         self._packing: Optional[Packing] = None
         self.zero = FieldElement(self, (0,) * self.D)
@@ -458,45 +457,12 @@ class FieldSpec:
             self._packing = Packing(self.p, [t[0] for t in self.mod_tail])
         return self._packing
 
-    def _level(self) -> Tuple[object, list]:
-        """The base field's backend and the minimal polynomial's tail in its
-        encoding, built on first use: an element of this level is a
-        polynomial of degree below ``degree`` over the base field."""
+    def _level(self) -> "LevelOps":
+        """The backend of this extension level, as polynomials over the
+        level below, built on first use."""
         if self._level_ops is None:
-            ops = field_ops(self.base)
-            self._level_ops = (ops, self._blocks(ops, sum(self.mod_tail, ())))
+            self._level_ops = LevelOps(self)
         return self._level_ops
-
-    def _blocks(self, ops, c: Tuple[int, ...]) -> list:
-        # coefficients over the base field, lowest degree first, encoded
-        base, s = self.base, self.base.D
-        return [
-            ops.encode(FieldElement(base, c[j * s : (j + 1) * s]))
-            for j in range(self.degree)
-        ]
-
-    def _flatten(self, ops, blocks: list) -> Tuple[int, ...]:
-        flat: List[int] = []
-        for v in blocks:
-            flat.extend(ops.decode(v).coeffs)
-        return tuple(flat) + (0,) * (self.D - len(flat))
-
-    def _mul(self, ca: Tuple[int, ...], cb: Tuple[int, ...]) -> Tuple[int, ...]:
-        if not self.dims:
-            return ((ca[0] * cb[0]) % self.p,)
-        ops, tail = self._level()
-        prod = _p_mulmod(ops, self._blocks(ops, ca), self._blocks(ops, cb), tail)
-        return self._flatten(ops, prod)
-
-    def _inv(self, c: Tuple[int, ...]) -> Tuple[int, ...]:
-        if not any(c):
-            raise DivisionByZeroError(f"zero has no inverse in {self!r}")
-        if not self.dims:
-            return (pow(c[0], -1, self.p),)
-        # extended Euclid modulo the minimal polynomial, over the base field
-        ops, tail = self._level()
-        u = _poly_inverse_mod(ops, self._blocks(ops, c), tail + [ops.one])
-        return self._flatten(ops, u)
 
     # -- extension ------------------------------------------------------------
 
@@ -527,84 +493,52 @@ class FieldSpec:
                 )
             if coeffs[-1] != self.one:
                 raise DegreeMismatchError("minimal polynomial must be monic")
-            chain = self._verify_irreducible(coeffs, degree)
-            return FieldSpec(
-                self.p,
-                self,
-                degree,
-                tuple(e.coeffs for e in coeffs[:-1]),
-                chain,
-            )
-        # find_irreducible already certified the polynomial
-        chain = self._chain_meta(coeffs, degree)
+        chain = self._binomial_chain(coeffs, degree)
+        # find_irreducible already ran the generic test on what it found
+        if chain is None and minpoly is not None:
+            if self.order_bits() > _GENERIC_TEST_BITS:
+                raise BudgetExceededError(
+                    f"generic irreducibility test over {self!r} is infeasible; "
+                    "use binomial tower steps"
+                )
+            if not poly_is_irreducible(self, coeffs):
+                raise ReduciblePolynomialError(
+                    f"supplied degree-{degree} polynomial is reducible over {self!r}"
+                )
         return FieldSpec(
             self.p, self, degree, tuple(e.coeffs for e in coeffs[:-1]), chain
         )
 
-    def _top_gen_coeffs(self) -> Optional[Tuple[int, ...]]:
-        if not self.dims:
-            return None
-        return self.gen().coeffs
+    def _binomial_chain(self, coeffs: List[FieldElement], degree: int):
+        """Chain metadata (anchor, c_coeffs, ord_c, composed_deg) of a
+        binomial x^degree - g, certified by the classical criterion for
+        binomials, or None when the polynomial is not a binomial.
 
-    def _chain_meta(self, coeffs: List[FieldElement], degree: int):
-        # chain metadata for a verified binomial x^degree - g
+        Over a small field the binomial is its own chain; over a larger one
+        g must be the generator of a certified binomial tower, which
+        composes to one binomial over that tower's anchor.  Raises
+        ReduciblePolynomialError when the criterion fails, and
+        BudgetExceededError when neither case applies.
+        """
         tail = coeffs[:-1]
-        if degree < 2 or any(tail[j] for j in range(1, degree)) or not tail[0]:
+        if degree < 2 or not tail[0] or any(tail[1:]):
             return None
         g = -tail[0]
         if self.order_bits() <= _GENERIC_TEST_BITS:
-            e = _mult_order(g)
-            return (self, g.coeffs, e, degree)
-        if self._chain is not None and g.coeffs == self._top_gen_coeffs():
-            anchor, c0, e, comp = self._chain
-            return (anchor, c0, e, comp * degree)
-        return None
-
-    def _verify_irreducible(self, coeffs: List[FieldElement], degree: int):
-        """Raise ReduciblePolynomialError unless coeffs is irreducible.
-
-        Returns chain metadata when the polynomial is a certified binomial
-        tower step, else None.
-        """
-        tail = coeffs[:-1]
-        binomial = (
-            degree >= 2
-            and bool(tail[0])
-            and not any(tail[j] for j in range(1, degree))
-        )
-        if binomial:
-            g = -tail[0]
-            if self.order_bits() <= _GENERIC_TEST_BITS:
-                e = _mult_order(g)
-                if not _binomial_irreducible(self.order, e, degree):
-                    raise ReduciblePolynomialError(
-                        f"x^{degree} - {format_element(g)} is reducible "
-                        f"over {self!r}"
-                    )
-                return (self, g.coeffs, e, degree)
-            if self._chain is not None and g.coeffs == self._top_gen_coeffs():
-                anchor, c0, e, comp = self._chain
-                t = comp * degree
-                if not _binomial_irreducible(anchor.order, e, t):
-                    raise ReduciblePolynomialError(
-                        f"composed binomial of degree {t} over {anchor!r} "
-                        "is reducible"
-                    )
-                return (anchor, c0, e, t)
+            anchor, c0, e, t = self, g.coeffs, _mult_order(g), degree
+        elif self._chain is not None and g.coeffs == self.gen().coeffs:
+            anchor, c0, e, t = self._chain
+            t *= degree
+        else:
             raise BudgetExceededError(
                 f"cannot verify a binomial over {self!r}: the constant is "
                 "not the generator of a certified binomial tower"
             )
-        if self.order_bits() > _GENERIC_TEST_BITS:
-            raise BudgetExceededError(
-                f"generic irreducibility test over {self!r} is infeasible; "
-                "use binomial tower steps"
-            )
-        if not poly_is_irreducible(self, coeffs):
+        if not _binomial_irreducible(anchor.order, e, t):
             raise ReduciblePolynomialError(
-                f"supplied degree-{degree} polynomial is reducible over {self!r}"
+                f"binomial of composed degree {t} over {anchor!r} is reducible"
             )
-        return None
+        return (anchor, c0, e, t)
 
 
 class IndexTables:
@@ -747,43 +681,6 @@ def _mult_order(a: FieldElement) -> int:
 # -- elimination backends ----------------------------------------------------------
 
 
-class FieldOps:
-    """Entries are FieldElements of one field."""
-
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-
-    def __init__(self, field: FieldSpec):
-        self.zero, self.one = field.zero, field.one
-
-    @staticmethod
-    def encode(a):
-        return a
-
-    decode = encode
-
-    @staticmethod
-    def inv(a):
-        return a.inverse()
-
-    @staticmethod
-    def sub_multiple(row, top, f, start):
-        out = row[:]
-        for j in range(start, len(row)):
-            b = top[j]
-            if b:  # a zero in the pivot row leaves the entry as it is
-                out[j] = row[j] - f * b
-        return out
-
-    @staticmethod
-    def scale(row, c, start):
-        out = row[:]
-        for j in range(start, len(row)):
-            if row[j]:
-                out[j] = c * row[j]
-        return out
-
-
 class TableOps:
     """Entries are canonical indices of a small field; arithmetic is lookup."""
 
@@ -907,11 +804,81 @@ class PackedOps:
         return out
 
 
+class LevelOps:
+    """Entries are elements of one extension level, as polynomials over the
+    level below: the tuple of the ``degree`` coefficients, lowest first, in
+    the encoding of the base field's backend, and () for zero.  A product
+    is a multiply modulo the minimal polynomial and an inverse is extended
+    Euclid modulo it, both through the base backend.
+
+    ``encode`` converts only the nonzero blocks, so an element with one
+    nonzero block per level of a deep binomial chain costs one base
+    ``encode`` per level."""
+
+    zero = ()
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.base = base = field_ops(field.base)
+        self._zero_row = (base.zero,) * field.degree
+        self.one = (base.one,) + self._zero_row[1:]
+        self.tail = [base.encode(FieldElement(field.base, t)) for t in field.mod_tail]
+
+    def encode(self, a: FieldElement) -> tuple:
+        c, sub = a.coeffs, self.field.base
+        s, enc, zero = sub.D, self.base.encode, self.base.zero
+        out = []
+        for j in range(0, len(c), s):
+            block = c[j : j + s]
+            out.append(enc(FieldElement(sub, block)) if any(block) else zero)
+        return tuple(out) if any(out) else ()
+
+    def decode(self, a: tuple) -> FieldElement:
+        if not a:
+            return self.field.zero
+        dec, zero = self.base.decode, self.field.base.zero.coeffs
+        blocks = (dec(b).coeffs if b else zero for b in a)
+        return FieldElement(self.field, tuple(itertools.chain.from_iterable(blocks)))
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        # in a field a product of nonzero elements is nonzero, so never ()
+        return tuple(_p_mulmod(self.base, a, b, self.tail))
+
+    def neg(self, a):
+        return tuple(map(self.base.neg, a))
+
+    def inv(self, a):
+        u = _poly_inverse_mod(self.base, a, self.tail + [self.base.one])
+        return tuple(u) + self._zero_row[len(u) :]
+
+    def sub_multiple(self, row, top, f, start):
+        # each product modulo the minimal polynomial, then subtracted
+        # coefficient by coefficient over the base
+        base, mul = self.base, self.mul
+        out = row[:]
+        for j in range(start, len(row)):
+            prod = mul(f, top[j])
+            if prod:
+                d = list(row[j] or self._zero_row)
+                d = base.sub_multiple(d, prod, base.one, 0)
+                out[j] = tuple(d) if any(d) else ()
+        return out
+
+    def scale(self, row, c, start):
+        mul = self.mul
+        out = row[:]
+        for j in range(start, len(row)):
+            out[j] = mul(c, row[j])
+        return out
+
+
 def field_ops(field: FieldSpec):
     """The backend for entries of this field: ints mod p for a prime field,
     index tables for an extension field of order at most TABLE_ORDER_LIMIT,
     packed ints for any other single-level extension of a prime field, and
-    FieldElements for the multi-level towers."""
+    polynomials over the level below for the multi-level towers."""
     if field.D == 1:
         return ModPOps(field.p, field)
     # the order is at least 2^D, so testing D first keeps p ** D from being
@@ -921,7 +888,7 @@ def field_ops(field: FieldSpec):
         return TableOps(field)
     if len(field.dims) == 1:
         return PackedOps(field)
-    return FieldOps(field)
+    return field._level()
 
 
 # -- polynomial arithmetic over a field, through a backend -----------------------------
@@ -1176,7 +1143,8 @@ def parse_field(text: str) -> FieldSpec:
                 f"ext line needs {(d + 1) * f.D} integers, got {len(flat)}"
             )
         coeffs = [
-            tuple(flat[j * f.D : (j + 1) * f.D]) for j in range(d + 1)
+            FieldElement(f, tuple(flat[j * f.D : (j + 1) * f.D]))
+            for j in range(d + 1)
         ]
         f = f.extend(d, coeffs)
     return f
@@ -1187,7 +1155,8 @@ def format_element(a: FieldElement) -> str:
 
 
 def _parse_digits(text: str, p: int) -> List[int]:
-    # base-p coefficients; anything outside 0..p-1 is refused, not reduced
+    # base-p coefficients; anything outside 0..p-1 is refused, not reduced,
+    # so the callers build FieldElements from them as they are
     vals = [int(v) for v in text.strip().split(",")]
     for v in vals:
         if not 0 <= v < p:
@@ -1201,4 +1170,4 @@ def parse_element(field: FieldSpec, text: str) -> FieldElement:
         raise DegreeMismatchError(
             f"element of {field!r} needs {field.D} coefficients, got {len(vals)}"
         )
-    return field.element(vals)
+    return FieldElement(field, tuple(vals))

@@ -9,7 +9,8 @@ re-exported here: ints mod p (:class:`ModPOps`) for every prime field and
 the generic oracle field, index tables (:class:`TableOps`) for extension
 fields of order at most :data:`TABLE_ORDER_LIMIT`, Kronecker-packed ints
 (:class:`PackedOps`) for every larger single-level extension of a prime
-field, and FieldElements (:class:`FieldOps`) for the multi-level towers.
+field, and polynomials over the level below (:class:`LevelOps`) for the
+multi-level towers.
 
 :func:`field_ops` picks the backend from the field alone, and ``det``,
 ``rank``, ``rref``, ``kernel``, ``solve`` and ``subspace_intersection_dim``
@@ -36,8 +37,8 @@ from .errors import (
 from .fields import (
     TABLE_ORDER_LIMIT,
     FieldElement,
-    FieldOps,
     FieldSpec,
+    LevelOps,
     ModPOps,
     PackedOps,
     TableOps,
@@ -46,7 +47,7 @@ from .fields import (
 
 __all__ = [
     "MatrixF",
-    "FieldOps",
+    "LevelOps",
     "TableOps",
     "ModPOps",
     "PackedOps",

@@ -13,8 +13,9 @@ Decision paths implemented here:
   nonsingular.  For three sets the enumeration is reduced to sizes <= k-1
   after an MDS precheck.  The generator matrix is encoded once for the
   backend ``linalg.field_ops`` picks (ints mod p, index tables, packed ints
-  for larger single-level extensions, or FieldElements for the multi-level
-  towers) and every certificate is eliminated in that encoding.
+  for larger single-level extensions, or polynomials over the level below
+  for the multi-level towers) and every certificate is eliminated in that
+  encoding.
   ``linalg.block_mds_matrix``, the (ell k) x (ell k) block certificate, is
   the reference the tests compare it with.
 * ``is_mds3_rs_fast``: Reed-Solomon fast paths: the six-point pairing

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from mdskit import cli
-from mdskit.codes import parse_code
+from mdskit.codes import format_code, parse_code
+from mdskit.constructions import build_k3_n3
 
 BAD42 = """\
 field p=3
@@ -55,6 +56,18 @@ def test_construct_stdout_without_out(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# construction=k3-n4")
     assert "code n=7 k=3 kind=rs" in out
+
+
+def test_construct_warning_is_one_path_free_line(capsys):
+    # n = 8 skips the exponent 3, which build_k3_n3 warns about
+    rc = cli.main(["construct", "--name", "k3-n3", "--n", "8"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("mdskit construct: warning: extension exponent") == 1
+    assert ".py:" not in captured.err
+    with pytest.warns(UserWarning):
+        built = build_k3_n3(8)
+    assert captured.out == format_code(built.code, built.provenance)
 
 
 def test_construct_missing_n_is_usage_error():

@@ -17,9 +17,9 @@ from mdskit.errors import (
 )
 from mdskit.fields import (
     FieldElement,
-    FieldOps,
     FieldSpec,
     IndexTables,
+    LevelOps,
     ModPOps,
     PackedOps,
     Packing,
@@ -47,6 +47,7 @@ from mdskit.fields import (
     poly_is_irreducible,
     prime_factors,
 )
+from reference_ops import FieldOps
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -341,6 +342,39 @@ def test_big_field_refuses_generic_verification():
     T = extend_binomial_chain(F9, F9.from_int(4), 8, 3)
     with pytest.raises(BudgetExceededError):
         T.extend(2, [T.gen() + 1, T.one, T.one])
+
+
+def test_found_and_supplied_binomials_share_one_certificate():
+    # GF(3)'s smallest irreducible quadratic is the binomial x^2 + 1
+    found = field_make(3, [2])
+    supplied = F3.extend(2, [1, 0, 1])
+    assert found.mod_tail == supplied.mod_tail
+    assert found._chain == supplied._chain == (F3, (2,), 2, 2)
+    with pytest.raises(ReduciblePolynomialError):
+        F3.extend(2, [2, 0, 1])  # x^2 - 1
+    T = extend_binomial_chain(F3.extend(2), F3.extend(2).from_int(4), 8, 3)
+    assert T.order_bits() > 128
+    with pytest.raises(BudgetExceededError):
+        T.extend(2, [-(T.gen() + 1), T.zero, T.one])
+
+
+def test_found_polynomial_is_tested_once_per_candidate(monkeypatch):
+    import mdskit.fields as fields_mod
+
+    F9 = F3.extend(2)
+    calls = []
+    real = fields_mod.poly_is_irreducible
+
+    def spy(field, coeffs):
+        calls.append([c.to_int() for c in coeffs])
+        return real(field, coeffs)
+
+    monkeypatch.setattr(fields_mod, "poly_is_irreducible", spy)
+    want = [c.to_int() for c in find_irreducible(F9, 4)]
+    searched, calls[:] = list(calls), []
+    ext = F9.extend(4)
+    assert calls == searched and calls[-1] == want
+    assert [FieldElement(F9, t).to_int() for t in ext.mod_tail] == want[:-1]
 
 
 # -- constructor validation -------------------------------------------------------
@@ -871,3 +905,104 @@ def test_index_tables_match_product_built_tables(f):
     assert (t.mul, t.inv) == _product_tables(f)
     assert t.add == [[(a + b).to_int() for b in els] for a in els]
     assert t.neg == [(-a).to_int() for a in els]
+
+
+# -- the level backend against FieldOps and the level-table multiply -------------------
+
+_F5 = field_make(5)
+LEVEL_TOWERS = {
+    "GF(3)(2,3)": field_make(3, [2, 3]),  # over the table field GF(9)
+    "GF(3)(4,2)": field_make(3, [4, 2]),  # over the packed field GF(81)
+    "GF(2)(2,2,2)": field_make(2, [2, 2, 2]),  # over the table field GF(16)
+    "GF(5)(3,2,2)": field_make(5, [3, 2, 2]),  # over a level backend
+    "GF(5)(8,8,8)": extend_binomial_chain(_F5, _F5.from_int(2), 8, 3),
+}
+
+
+def _level_elements(f, rng):
+    els = [f.zero, f.one, -f.one] + [f.gen(i) for i in range(len(f.dims))]
+    els += [_sparse_element(f, rng, rng.randrange(1, 4)) for _ in range(5)]
+    return els + [f.random_element(rng) for _ in range(5 if f.D < 100 else 1)]
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_TOWERS))
+def test_level_backend_matches_field_ops_and_level_tables(name):
+    f = LEVEL_TOWERS[name]
+    ops, ref = field_ops(f), FieldOps(f)
+    assert type(ops) is LevelOps and ops is f._level()
+    rng = random.Random(name)
+    els = _level_elements(f, rng)
+    enc = [ops.encode(a) for a in els]
+    assert ops.zero == enc[0] == () and ops.one == enc[1]
+    for a, x in zip(els, enc):
+        assert ops.decode(x) == a
+        assert bool(x) == bool(a) and (not x or len(x) == f.degree)
+        assert ops.decode(ops.neg(x)) == -a
+        if a:
+            inv = ops.inv(x)
+            assert ops.encode(ops.decode(inv)) == inv
+            assert level_table_mul(f, a.coeffs, ops.decode(inv).coeffs) == f.one.coeffs
+        else:
+            with pytest.raises(DivisionByZeroError):
+                ops.inv(x)
+        for b, y in zip(els, enc):
+            prod = ops.mul(x, y)
+            assert ops.encode(ops.decode(prod)) == prod
+            assert ops.decode(prod).coeffs == level_table_mul(f, a.coeffs, b.coeffs)
+    # row operations from every start column, against FieldElement rows
+    for _ in range(4):
+        row, top = ([rng.randrange(len(els)) for _ in range(3)] for _ in range(2))
+        c = rng.randrange(len(els))
+        er, et = [enc[i] for i in row], [enc[i] for i in top]
+        fr, ft = [els[i] for i in row], [els[i] for i in top]
+        for start in range(4):
+            got = ops.sub_multiple(er, et, enc[c], start)
+            want = ref.sub_multiple(fr, ft, els[c], start)
+            assert [ops.decode(v) for v in got] == want
+            assert [ops.encode(w) for w in want] == got
+            got = ops.scale(er, enc[c], start)
+            want = ref.scale(fr, els[c], start)
+            assert [ops.encode(w) for w in want] == got
+    # a row minus itself is zero, and zero is ()
+    assert ops.sub_multiple(enc, enc, ops.one, 0) == [()] * len(enc)
+
+
+def test_level_encode_skips_zero_blocks(monkeypatch):
+    """A one-term element of the binomial chain of general-ell (4, 2, 2)
+    reaches the base encode of each level at most once."""
+    from mdskit.constructions import ConstructionParams, construct
+
+    params = ConstructionParams(name="general-ell", n=4, k=2, ell=2)
+    f = construct(params).code.field
+    chain, ops = [], field_ops(f)
+    while isinstance(ops, LevelOps):
+        chain.append(ops)
+        ops = ops.base
+    assert len(chain) == len(f.dims) - 1 and type(ops) is PackedOps
+    calls = []
+    for level, lo in enumerate(chain[1:] + [ops]):
+        real = lo.encode
+        monkeypatch.setattr(
+            lo, "encode", lambda a, real=real, lv=level: calls.append(lv) or real(a)
+        )
+    rng = random.Random(4)
+    one_term = [f.gen(), f.one, f.gen(0)] + [_sparse_element(f, rng, 1) for _ in range(3)]
+    for a in one_term:
+        calls.clear()
+        x = chain[0].encode(a)
+        assert sorted(set(calls)) == sorted(calls)
+        assert chain[0].decode(x) == a
+
+
+@pytest.mark.parametrize("f", [F7, LEVEL_TOWERS["GF(3)(2,3)"]], ids=repr)
+def test_power_matches_repeated_products(f):
+    rng = random.Random(7)
+    for a in (f.one, f.random_element(rng), f.random_element(rng)):
+        if not a:
+            continue
+        for e in range(-3, 21):
+            want, step = f.one, a if e >= 0 else a.inverse()
+            for _ in range(abs(e)):
+                want = want * step
+            assert a ** e == want
+    assert f.zero ** 0 == f.one and f.zero ** 3 == f.zero

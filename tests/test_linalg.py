@@ -14,10 +14,10 @@ from mdskit.errors import (
     SizeConstraintError,
 )
 from mdskit.codes import GENERIC_ORACLE_PRIME
-from mdskit.fields import field_make
+from mdskit.fields import extend_binomial_chain, field_make
 from mdskit.linalg import (
     TABLE_ORDER_LIMIT,
-    FieldOps,
+    LevelOps,
     MatrixF,
     ModPOps,
     PackedOps,
@@ -33,6 +33,7 @@ from mdskit.linalg import (
     solve,
     subspace_intersection_dim,
 )
+from reference_ops import FieldOps
 
 F3 = field_make(3)
 F7 = field_make(7)
@@ -143,6 +144,9 @@ F9 = field_make(3, [2])
 F16 = field_make(2, [4])
 F81 = field_make(3, [4])  # above the table limit
 F729 = field_make(3, [2, 3])  # a two-level tower above the table limit
+F3_42 = field_make(3, [4, 2])  # over the packed field GF(81)
+F256 = field_make(2, [2, 2, 2])  # over the table field GF(16)
+F5_322 = field_make(5, [3, 2, 2])  # a level backend over a level backend
 FP = field_make(GENERIC_ORACLE_PRIME)
 
 
@@ -150,7 +154,7 @@ def test_field_ops_picks_backend_by_field():
     assert F16.order <= TABLE_ORDER_LIMIT < F81.order < F729.order
     for field, backend in [
         (F7, ModPOps), (FP, ModPOps), (F9, TableOps), (F16, TableOps),
-        (F81, PackedOps), (F729, FieldOps),
+        (F81, PackedOps), (F729, LevelOps),
     ]:
         assert type(field_ops(field)) is backend
 
@@ -192,8 +196,12 @@ def _field_rref(rows, ops):
 def test_matrix_functions_match_field_backend(data):
     """det, rank, rref, kernel, solve and subspace_intersection_dim through
     the backend field_ops picks equal FieldOps elimination, over GF(7),
-    GF(9), GF(13), GF(16), the generic oracle prime and GF(81)."""
-    field = data.draw(st.sampled_from([F7, F9, F13, F16, FP, F81]))
+    GF(9), GF(13), GF(16), the generic oracle prime, GF(81) and the
+    towers (2, 3) and (4, 2) over GF(3), (2, 2, 2) over GF(2) and (3, 2, 2)
+    over GF(5)."""
+    field = data.draw(
+        st.sampled_from([F7, F9, F13, F16, FP, F81, F729, F3_42, F256, F5_322])
+    )
     m = data.draw(_matrices(field))
     ops = FieldOps(field)
     want_rows, want_pivots = _field_rref(m.rows, ops)
@@ -238,6 +246,33 @@ def test_matrix_functions_match_field_backend(data):
     ]
     want_dim = m.nrows - len(_field_rref(normals, ops)[1])
     assert subspace_intersection_dim(bases) == want_dim
+
+
+def test_chain_matrix_functions_match_field_backend():
+    """det, rref, kernel and solve over a binomial chain of three levels of
+    degree 8 over GF(5), on sparse entries, equal FieldOps elimination."""
+    F5 = field_make(5)
+    field = extend_binomial_chain(F5, F5.from_int(2), 8, 3)
+    assert type(field_ops(field)) is LevelOps
+    ops = FieldOps(field)
+    rng = random.Random(8)
+
+    def entry():
+        c = [0] * field.D
+        for _ in range(rng.randrange(3)):
+            c[rng.randrange(field.D)] = rng.randrange(1, 5)
+        return field.element(c)
+
+    for _ in range(3):
+        m = MatrixF(field, [[entry() for _ in range(3)] for _ in range(2)])
+        want_rows, want_pivots = _field_rref(m.rows, ops)
+        assert rref(m) == (MatrixF(field, want_rows), tuple(want_pivots))
+        assert kernel(m) == [tuple(v) for v in null_basis(m.rows, m.ncols, ops)]
+        sq = m.submatrix(range(2), range(2))
+        assert det(sq) == eliminate([list(r) for r in sq.rows], ops, reduced=False)[1]
+        x = tuple(entry() for _ in range(3))
+        got = solve(m, m.mul_vector(x))
+        assert got is not None and m.mul_vector(got) == m.mul_vector(x)
 
 
 # -- subspace intersections -----------------------------------------------------

@@ -31,7 +31,6 @@ from mdskit.errors import (
 )
 from mdskit.fields import field_make, field_of_order
 from mdskit.linalg import (
-    FieldOps,
     MatrixF,
     ModPOps,
     TableOps,
@@ -60,13 +59,14 @@ from mdskit.mdscheck import (
     lb_witness_projective,
     weak_reduce,
 )
+from reference_ops import FieldOps
 
 F7 = field_make(7)
 F11 = field_make(11)
 F13 = field_make(13)
 F9 = field_make(3, [2])
 F81 = field_of_order(81)
-F729 = field_make(3, [2, 3])  # a (2, 3) tower: FieldElements
+F729 = field_make(3, [2, 3])  # a (2, 3) tower: the level backend
 
 
 def rs(field, points, k):
@@ -602,7 +602,7 @@ RS3_CODES = [
 @pytest.mark.parametrize("q,k,points,verdict", RS3_CODES)
 def test_rs3_fast_path_matches_engine_and_block_reference(q, k, points, verdict):
     """Reed-Solomon codes over GF(9) (index tables), GF(81) (packed ints)
-    and the (2, 3) tower GF(3^6) (FieldElements): the fast path's verdict,
+    and the (2, 3) tower GF(3^6) (the level backend): the fast path's verdict,
     tuple count and witness equal the per-tuple block reference, and its
     verdict equals is_mds_ell's; away from k = 3 both enumerate the same
     filtered tuples, so the count and witness equal is_mds_ell's too."""
@@ -765,7 +765,7 @@ def _lb_witness_reference(code):
 
 def test_lb_witness_cross_products_match_field_elements():
     """RS [n, 3] codes over GF(81) (packed ints) and the tower GF(3^6)
-    (FieldElements), where points collide or stay distinct."""
+    (the level backend), where points collide or stay distinct."""
     rng = random.Random(3)
     witnesses = set()
     for field, n in [(F81, 8), (F81, 10), (F81, 10), (F729, 9), (F729, 9)]:
