@@ -2,24 +2,26 @@
 
 Brute-force deciders for average-radius list decodability (a syndrome-bucket
 search over weight-bounded vectors), the order-(ell+1) duality cross-check,
-worst-case list decodability by Hamming-ball enumeration, and maximal
-recoverability of tensor codes against a randomized generic oracle.
+worst-case list decodability by the same bucketing of one Hamming ball, and
+maximal recoverability of tensor codes against a randomized generic oracle.
 
 Everything here is exhaustive verification at desk scale, not an efficient
 decoder.  Grid cells are addressed row-major: cell (r, c) is column r*n + c
 of the tensor parity-check matrix.
 
-The sweeps work on canonical element indices: the list-decoding checks read
-the field's index tables, and the tensor check uses the row operations of
-linalg's backends (the table backend for the code's field, the mod-p backend
-for the generic oracle's prime).  Exhaustively, a family of correctable
-patterns is one 2^(m*n)-bit int: the down-closure of the complements of the
-bases of the tensor generator's columns; sampled, a pattern is decided by
-the rank of its parity-check columns.
+Every sweep computes through the backend ``field_ops`` picks for its field:
+the list-decoding checks enumerate weight-bounded vectors with their
+syndromes, one row operation each, and the tensor check uses the row
+operations of the code field's backend and of the generic oracle field's.
+Exhaustively, a family of correctable patterns is one 2^(m*n)-bit int: the
+down-closure of the complements of the bases of the tensor generator's
+columns; sampled, a pattern is decided by the rank of its parity-check
+columns.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .codes import (
+    GENERIC_ORACLE_FIELD,
     GENERIC_ORACLE_PRIME,
     CodeSpec,
     dual_code,
@@ -42,7 +45,7 @@ from .errors import (
     SizeConstraintError,
 )
 from .fields import FieldSpec
-from .linalg import MatrixF, ModPOps, TableOps, eliminate, null_basis, rref
+from .linalg import MatrixF, eliminate, field_ops, null_basis, rref
 from .mdscheck import CheckReport, _report, is_mds_ell
 
 __all__ = [
@@ -149,6 +152,35 @@ def _weight_bounded_count(n: int, q: int, w_max: int) -> int:
     return sum(math.comb(n, w) * (q - 1) ** w for w in range(w_max + 1))
 
 
+def _syndromes(code: CodeSpec, w_max: int):
+    """(support, values, syndrome) for every vector of weight at most w_max,
+    weight first, then supports in ``combinations`` order, then values in
+    ``product`` order.  Values are canonical indices; the syndrome under the
+    code's parity check is in the encoding of its field's backend.  The sums
+    over a support's first w - 1 coordinates are computed once for every
+    support that extends them, so each vector costs one row operation."""
+    field, n = code.field, code.n
+    ops = field_ops(field)
+    h = generator_matrix(dual_code(code))
+    cols = [[ops.encode(x) for x in h.col(j)] for j in range(n)]
+    values = range(1, field.order)
+    negs = [ops.neg(ops.encode(field.from_int(v))) for v in values]
+    sub, zero = ops.sub_multiple, [ops.zero] * h.nrows
+    yield (), (), zero
+    for w in range(1, w_max + 1):
+        # a head ending at the last coordinate extends to no support
+        for head in itertools.combinations(range(n - 1), w - 1):
+            sums = [zero]
+            for p in head:
+                sums = [sub(s, cols[p], f, 0) for s in sums for f in negs]
+            heads = list(zip(itertools.product(values, repeat=w - 1), sums))
+            for p in range(head[-1] + 1 if head else 0, n):
+                supp, col = head + (p,), cols[p]
+                for vals, s in heads:
+                    for v, f in zip(values, negs):
+                        yield supp, vals + (v,), sub(s, col, f, 0)
+
+
 def _ld_single(code: CodeSpec, ell: int, budget: int):
     """One list size: (ok, vectors enumerated, failure detail)."""
     n, k = code.n, code.k
@@ -159,49 +191,32 @@ def _ld_single(code: CodeSpec, ell: int, budget: int):
         # the syndrome map is injective, buckets are singletons
         return True, 0, None
     w_max = ell * (n - k)
-    q = code.field.order
-    # guard before touching the int backend: its tables are q^2 entries
-    count = _weight_bounded_count(n, q, w_max)
+    count = _weight_bounded_count(n, code.field.order, w_max)
     if count > budget:
         raise BudgetExceededError(
             f"{count} weight-bounded vectors exceed budget {budget}"
         )
-    tables = code.field.index_tables()
-    add, mul = tables.add, tables.mul
-    h = generator_matrix(dual_code(code))
-    hrows = [[x.to_int() for x in row] for row in h.rows]
-    nonzero = range(1, q)
     # buckets hold the first ell+1 arrivals; weight-ascending enumeration
     # makes those the minimum-total choice, so each bucket is decided once
-    buckets: Dict[Tuple[int, ...], List[Tuple[int, Tuple[int, ...]]]] = {}
-    seen = 0
-    for w in range(w_max + 1):
-        for supp in itertools.combinations(range(n), w):
-            for vals in itertools.product(nonzero, repeat=w):
-                seen += 1
-                syn = []
-                for hrow in hrows:
-                    acc = 0
-                    for p, v in zip(supp, vals):
-                        acc = add[acc][mul[hrow[p]][v]]
-                    syn.append(acc)
-                best = buckets.setdefault(tuple(syn), [])
-                if len(best) > ell:
-                    continue
-                vec = [0] * n
-                for p, v in zip(supp, vals):
-                    vec[p] = v
-                best.append((w, tuple(vec)))
-                if len(best) == ell + 1:
-                    total = sum(b[0] for b in best)
-                    if total <= w_max:
-                        vecs = " | ".join(str(b[1]) for b in best)
-                        detail = (
-                            f"list size {ell}: {ell + 1} distinct vectors share "
-                            f"a syndrome with total weight {total} <= {w_max}: "
-                            f"{vecs}"
-                        )
-                        return False, seen, detail
+    buckets: Dict[tuple, List[Tuple[int, Tuple[int, ...]]]] = {}
+    for seen, (supp, vals, syn) in enumerate(_syndromes(code, w_max), 1):
+        best = buckets.setdefault(tuple(syn), [])
+        if len(best) > ell:
+            continue
+        vec = [0] * n
+        for p, v in zip(supp, vals):
+            vec[p] = v
+        best.append((len(supp), tuple(vec)))
+        if len(best) == ell + 1:
+            total = sum(b[0] for b in best)
+            if total <= w_max:
+                vecs = " | ".join(str(b[1]) for b in best)
+                detail = (
+                    f"list size {ell}: {ell + 1} distinct vectors share "
+                    f"a syndrome with total weight {total} <= {w_max}: "
+                    f"{vecs}"
+                )
+                return False, seen, detail
     return True, seen, None
 
 
@@ -264,9 +279,15 @@ def worst_case_ld_check(
     """Decide (L, rho)-worst-case list decodability, rho = radius_num/radius_den.
 
     Passes iff every point of F_q^n has at most L codewords within Hamming
-    distance floor(rho*n).  Implemented by sweeping a radius-floor(rho*n)
-    ball around every codeword, so the work is q^k times the ball size;
-    both that product and q^n must stay within the budget.
+    distance t = floor(rho*n).  The codewords within t of a point y are
+    y - e for the vectors e of weight at most t with He = Hy, so the list
+    size at y is the size of y's syndrome bucket in the radius-t ball around
+    zero, and the work is that one ball.  A failure names the first point to
+    collect more than L codewords in a sweep of the balls around every
+    codeword, in message order; the sweep visits only the ball vectors of
+    buckets larger than L.  Tuples count the ball points of that sweep up to
+    the failing codeword, or of every codeword on a pass.  Both q^n and q^k
+    times the ball size must stay within the budget.
     """
     t0 = time.perf_counter()
     if L < 0:
@@ -274,57 +295,51 @@ def worst_case_ld_check(
     if radius_num < 0 or radius_den <= 0:
         raise SizeConstraintError("radius must be a nonnegative rational")
     n, k = code.n, code.k
-    q = code.field.order
+    field = code.field
+    q = field.order
     t = min((radius_num * n) // radius_den, n)
     ball = _weight_bounded_count(n, q, t)
-    # guard before touching the int backend: its tables are q^2 entries
     if q**n > budget or q**k * ball > budget:
         raise BudgetExceededError(
             f"{q}^{n} points or {q}^{k}*{ball} ball sweeps exceed budget {budget}"
         )
     prop = f"worst-case-ld(L={L},rho={radius_num}/{radius_den})"
-    tables = code.field.index_tables()
-    add, mul = tables.add, tables.mul
-    g = generator_matrix(code)
-    grows = [[x.to_int() for x in row] for row in g.rows]
-    codewords = []
-    for msg in itertools.product(range(q), repeat=k):
-        cw = []
-        for j in range(n):
-            acc = 0
-            for i in range(k):
-                acc = add[acc][mul[msg[i]][grows[i][j]]]
-            cw.append(acc)
-        codewords.append(tuple(cw))
-    counts: Dict[Tuple[int, ...], int] = {}
-    swept = 0
-    offender = None
-    for cw in codewords:
-        for w in range(t + 1):
-            for supp in itertools.combinations(range(n), w):
-                for vals in itertools.product(range(1, q), repeat=w):
-                    swept += 1
-                    y = list(cw)
-                    for p, v in zip(supp, vals):
-                        y[p] = add[y[p]][v]
-                    y = tuple(y)
-                    c = counts.get(y, 0) + 1
-                    counts[y] = c
-                    if c > L and offender is None:
-                        offender = y
-        if offender is not None:
-            break
-    if offender is not None:
-        near = [cw for cw in codewords if sum(a != b for a, b in zip(cw, offender)) <= t]
-        detail = (
-            f"center {offender} has {len(near)} > {L} codewords within "
-            f"radius {t}: " + " | ".join(str(cw) for cw in near)
+    sizes = collections.Counter(tuple(syn) for _, _, syn in _syndromes(code, t))
+    worst = max(sizes.values())
+    if worst <= L:
+        return _report(
+            prop, True, q**k * ball, t0, detail=f"radius {t}, max list size {worst}"
         )
-        return _report(prop, False, swept, t0, detail=detail)
-    worst = max(counts.values()) if counts else 0
-    return _report(
-        prop, True, swept, t0, detail=f"radius {t}, max list size {worst}"
+    ops = field_ops(field)
+    enc = [ops.encode(field.from_int(v)) for v in range(q)]
+    hot = []
+    for supp, vals, syn in _syndromes(code, t):
+        if sizes[tuple(syn)] > L:
+            e = [ops.zero] * n
+            for p, v in zip(supp, vals):
+                e[p] = enc[v]
+            hot.append(e)
+    sub, minus = ops.sub_multiple, [ops.neg(a) for a in enc]
+    words = [[ops.zero] * n]
+    for row in generator_matrix(code).rows:
+        g = [ops.encode(x) for x in row]
+        words = [sub(c, g, f, 0) for c in words for f in minus]
+    counts: Dict[tuple, int] = {}
+    for (i, word), e in itertools.product(enumerate(words), hot):
+        y = tuple(sub(word, e, minus[1], 0))  # word + e
+        counts[y] = counts.get(y, 0) + 1
+        if counts[y] > L:
+            break
+    near = [c for c in words if sum(a != b for a, b in zip(c, y)) <= t]
+
+    def indices(v) -> str:
+        return str(tuple(ops.decode(a).to_int() for a in v))
+
+    detail = (
+        f"center {indices(y)} has {len(near)} > {L} codewords within "
+        f"radius {t}: " + " | ".join(map(indices, near))
     )
+    return _report(prop, False, (i + 1) * ball, t0, detail=detail)
 
 
 # -- tensor codes -------------------------------------------------------------------
@@ -369,16 +384,16 @@ def tensor_parity(spec: TensorCodeSpec) -> MatrixF:
     return MatrixF(field, [list(reduced.rows[i]) for i in range(len(pivots))])
 
 
-def _parity_columns(hcol_rows, hrow_rows, m: int, n: int):
+def _parity_columns(hcol_rows, hrow_rows, m: int, n: int, ops):
     """Columns of the stacked tensor parity check, one list per cell."""
-    rows = _tensor_layout(hcol_rows, hrow_rows, m, n, 0)
+    rows = _tensor_layout(hcol_rows, hrow_rows, m, n, ops.zero)
     return [[row[j] for row in rows] for j in range(m * n)]
 
 
-def _actual_checks(spec: TensorCodeSpec):
-    """The component parity checks as canonical indices of the code's field."""
+def _actual_checks(spec: TensorCodeSpec, ops):
+    """The component parity checks in the encoding of the backend ops."""
     return tuple(
-        [[x.to_int() for x in row] for row in generator_matrix(dual_code(code)).rows]
+        [[ops.encode(x) for x in row] for row in generator_matrix(dual_code(code)).rows]
         for code in (spec.col_code, spec.row_code)
     )
 
@@ -514,7 +529,7 @@ def _cols_rank(columns, idxs, ops) -> int:
 @functools.lru_cache(maxsize=8)
 def _generic_family(m, n, a, b, trials, seed) -> int:
     rng = random.Random(seed)
-    ops = ModPOps(GENERIC_ORACLE_PRIME)
+    ops = field_ops(GENERIC_ORACLE_FIELD)
     families = [
         _correctable_bits(*_generic_checks(m, n, a, b, rng), m, n, ops)
         for _ in range(trials)
@@ -547,17 +562,10 @@ def mr_check(
         raise SizeConstraintError("need a >= 1 and b >= 0")
     cells = m * n
     prop = f"mr-tensor(m={m},n={n},a={a},b={b})"
-    q = spec.row_code.field.order
-    # the int backend precomputes q^2-entry tables; a pattern decision costs
-    # on the order of 100 int ops, so keep the table cost inside that scale
-    if q * q > 100 * budget:
-        raise BudgetExceededError(
-            f"field order {q} needs {q * q} table entries, over budget {budget}"
-        )
-    act_ops = TableOps(spec.row_code.field)
+    act_ops = field_ops(spec.row_code.field)
 
     if 2**cells <= budget:
-        act = _correctable_bits(*_actual_checks(spec), m, n, act_ops)
+        act = _correctable_bits(*_actual_checks(spec, act_ops), m, n, act_ops)
         gen = _generic_family(m, n, a, b, trials, seed)
         diff = act ^ gen
         if diff:
@@ -579,12 +587,12 @@ def mr_check(
         return _report(prop, True, 2**cells, t0, detail=detail)
 
     # sampling mode
-    act_cols = _parity_columns(*_actual_checks(spec), m, n)
+    act_cols = _parity_columns(*_actual_checks(spec, act_ops), m, n, act_ops)
     rng = random.Random(seed)
-    gen_ops = ModPOps(GENERIC_ORACLE_PRIME)
+    gen_ops = field_ops(GENERIC_ORACLE_FIELD)
     gen_runs = [
         _parity_columns(
-            *_generic_checks(m, n, a, b, random.Random(seed + 1 + i)), m, n
+            *_generic_checks(m, n, a, b, random.Random(seed + 1 + i)), m, n, gen_ops
         )
         for i in range(trials)
     ]

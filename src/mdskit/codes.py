@@ -22,12 +22,13 @@ from .errors import (
 from .fields import (
     FieldElement,
     FieldSpec,
+    field_make,
     format_element,
     format_field,
     parse_element,
     parse_field,
 )
-from .linalg import MatrixF, ModPOps, intersection_dim, kernel, rank
+from .linalg import MatrixF, field_ops, intersection_dim, kernel, rank
 
 __all__ = [
     "CodeSpec",
@@ -43,12 +44,14 @@ __all__ = [
     "enumerate_tuples",
     "generic_intersection_dim",
     "GENERIC_ORACLE_PRIME",
+    "GENERIC_ORACLE_FIELD",
     "format_code",
     "parse_code",
 ]
 
 # smallest prime above 2^31; the sampling field for the generic-matrix oracle
 GENERIC_ORACLE_PRIME = 2147483659
+GENERIC_ORACLE_FIELD = field_make(GENERIC_ORACLE_PRIME)
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,11 @@ def generator_matrix(code: CodeSpec) -> MatrixF:
 
 
 def dual_code(code: CodeSpec) -> CodeSpec:
-    """The dual as an explicit code; rows are the canonical kernel basis."""
+    """The dual as an explicit code; rows are the canonical kernel basis,
+    the n identity rows for a zero-dimensional code (whose generator matrix
+    has no rows, and so no columns)."""
     g = generator_matrix(code)
-    basis = kernel(g)
+    basis = kernel(g) if code.k else MatrixF.identity(code.field, code.n).rows
     m = MatrixF(code.field, [list(v) for v in basis])
     return CodeSpec(code.field, code.n, len(basis), "explicit", matrix=m)
 
@@ -290,7 +295,7 @@ def generic_intersection_dim(
     smaller dimension, which is the generic one).
     """
     p = GENERIC_ORACLE_PRIME
-    ops = ModPOps(p)
+    ops = field_ops(GENERIC_ORACLE_FIELD)
     rng = random.Random((seed, tup.sets, tup.n, tup.k).__repr__())
     outcomes: Dict[int, int] = {}
     for _ in range(trials):

@@ -9,24 +9,23 @@ the field one level down.
 
 Four arithmetic backends serve every computation on lists of field
 elements, here and in :mod:`mdskit.linalg`; :func:`field_ops` picks one from
-the field alone:
+the field alone, builds it once and keeps it on the FieldSpec:
 
-* :class:`ModPOps` computes with ints modulo a prime; it serves every prime
-  field, of any size;
 * :class:`TableOps` computes with a small field's canonical indices through
-  the lookup tables its FieldSpec builds once; it serves extension fields of
-  order at most :data:`TABLE_ORDER_LIMIT`;
+  lookup tables; it serves every field of order at most
+  :data:`TABLE_ORDER_LIMIT`, prime or not;
+* :class:`ModPOps` computes with ints modulo a prime; it serves every larger
+  prime field;
 * :class:`PackedOps` computes with Kronecker-packed ints, one fixed-width
   slot per coefficient, so that a product is one int multiply followed by a
   fold with x^(D+j) mod f and a per-slot reduction mod p; it serves every
-  other single-level extension of a prime field, through the packing data
-  its FieldSpec builds once;
+  larger single-level extension of a prime field;
 * :class:`LevelOps` computes with an extension level's elements as
   polynomials over the level below, in the base field's backend: a product
   is a multiply modulo the minimal polynomial, an inverse extended Euclid
   modulo it.  Zero coefficients are skipped, which keeps sparse elements of
-  the deep binomial towers cheap.  It serves the multi-level towers, and
-  the FieldElement product and inverse of every extension level.
+  the deep binomial towers cheap.  It serves the larger multi-level towers,
+  and the FieldElement product and inverse of every extension level.
 
 Each has an ``encode``/``decode`` pair to and from FieldElements, two row
 operations (subtract a multiple of one list from another, scale a list)
@@ -94,11 +93,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # generic gcd-based irreducibility testing is refused above this field size
 _GENERIC_TEST_BITS = 128
 
-# Extension fields up to this order get lookup tables.  Building them costs
-# about q FieldElement multiplications and a few q^2 list lookups, once per
-# FieldSpec: measured 0.5 ms at q = 9, 3.6 ms at 49, 3.9 ms at 64, 7 ms at
-# 81 and 33 ms at 256, against 8-29 ms for one 12 x 12 determinant over
-# FieldElements at those orders (2-core x86-64 Linux, Python 3.11).
+# Fields up to this order, prime or not, get lookup tables.  Building them
+# costs about q FieldElement multiplications and a few q^2 list lookups, once
+# per FieldSpec: measured 0.5 ms at q = 9, 3.6 ms at 49, 3.9 ms at 64, 7 ms
+# at 81 and 33 ms at 256, against 8-29 ms for one 12 x 12 determinant over
+# FieldElements at those orders (2-core x86-64 Linux, Python 3.11).  The
+# q^2 cost grows past the work of a budgeted sweep: 0.20 s and 64 MB at
+# q = 1009, 0.76 s and 186 MB at 2003.
 TABLE_ORDER_LIMIT = 64
 
 
@@ -330,8 +331,7 @@ class FieldSpec:
         self._sig_hash = hash(self._sig)
         self._order: Optional[int] = None
         self._level_ops: Optional[LevelOps] = None
-        self._index_tables: Optional[IndexTables] = None
-        self._packing: Optional[Packing] = None
+        self._ops = None
         self.zero = FieldElement(self, (0,) * self.D)
         one = [0] * self.D
         one[0] = 1
@@ -443,20 +443,6 @@ class FieldSpec:
 
     # -- arithmetic kernels ---------------------------------------------------
 
-    def index_tables(self) -> "IndexTables":
-        """Arithmetic tables over canonical indices, built on first use."""
-        if self._index_tables is None:
-            self._index_tables = IndexTables(self)
-        return self._index_tables
-
-    def packing(self) -> "Packing":
-        """Kronecker-packing data of a single-level extension, built on
-        first use."""
-        if self._packing is None:
-            assert self.base is not None and self.base.D == 1 and self.D > 1
-            self._packing = Packing(self.p, [t[0] for t in self.mod_tail])
-        return self._packing
-
     def _level(self) -> "LevelOps":
         """The backend of this extension level, as polynomials over the
         level below, built on first use."""
@@ -539,46 +525,6 @@ class FieldSpec:
                 f"binomial of composed degree {t} over {anchor!r} is reducible"
             )
         return (anchor, c0, e, t)
-
-
-class IndexTables:
-    """A small field's arithmetic as lookup tables over canonical indices.
-
-    Element i is ``field.from_int(i)``, so 0 is zero and 1 is one.  ``add``
-    and ``mul`` are q x q tables, ``neg`` and ``inv`` have q entries
-    (``inv[0]`` is a placeholder).  ``add`` is built one base-p digit at a
-    time, lowest first.  ``mul`` and ``inv`` come from the powers of one
-    generator g of the multiplicative group, as g^(log a + log b) and
-    g^(-log a).  Building costs about q field multiplications and a few
-    q^2 list lookups.
-    """
-
-    __slots__ = ("add", "mul", "neg", "inv")
-
-    def __init__(self, field: FieldSpec):
-        els = list(field.elements())
-        q, p = len(els), field.p
-        add = [[0]]
-        for _ in range(field.D):
-            # index a is a % p + p * (a // p), and digits add mod p
-            m = len(add) * p
-            add = [
-                [(a + b) % p + p * add[a // p][b // p] for b in range(m)]
-                for a in range(m)
-            ]
-        self.add = add
-        self.neg = [(-a).to_int() for a in els]
-        g = next(a for a in els[1:] if _mult_order(a) == q - 1)
-        power, log = [], [0] * q
-        x = field.one
-        for i in range(q - 1):
-            n = x.to_int()
-            power.append(n)
-            log[n] = i
-            x = x * g
-        twice, logs = power + power, log[1:]
-        self.mul = [[0] * q] + [[0] + [twice[i + j] for j in logs] for i in logs]
-        self.inv = [0] + [power[-i] for i in logs]
 
 
 class Packing:
@@ -682,22 +628,52 @@ def _mult_order(a: FieldElement) -> int:
 
 
 class TableOps:
-    """Entries are canonical indices of a small field; arithmetic is lookup."""
+    """Entries are canonical indices of a small field: element i is
+    ``field.from_int(i)``, so 0 is zero and 1 is one.  Arithmetic is lookup.
+
+    ``add_table`` and ``mul_table`` are q x q tables, ``neg_table`` and
+    ``inv_table`` have q entries (``inv_table[0]`` is a placeholder).  The
+    sums are built one base-p digit at a time, lowest first.  Products and
+    inverses come from the powers of one generator g of the multiplicative
+    group, as g^(log a + log b) and g^(-log a).  Building costs about q field
+    multiplications and a few q^2 list lookups.
+    """
 
     zero, one = 0, 1
     encode = staticmethod(FieldElement.to_int)
 
     def __init__(self, field: FieldSpec):
-        t = self.tables = field.index_tables()
-        self.neg, self.inv = t.neg.__getitem__, t.inv.__getitem__
+        els = list(field.elements())
+        q, p = len(els), field.p
+        add = [[0]]
+        for _ in range(field.D):
+            # index a is a % p + p * (a // p), and digits add mod p
+            m = len(add) * p
+            add = [
+                [(a + b) % p + p * add[a // p][b // p] for b in range(m)]
+                for a in range(m)
+            ]
+        g = next(a for a in els[1:] if _mult_order(a) == q - 1)
+        power, log = [], [0] * q
+        x = field.one
+        for i in range(q - 1):
+            n = x.to_int()
+            power.append(n)
+            log[n] = i
+            x = x * g
+        twice, logs = power + power, log[1:]
+        self.add_table = add
+        self.mul_table = [[0] * q] + [[0] + [twice[i + j] for j in logs] for i in logs]
+        self.neg_table = [(-a).to_int() for a in els]
+        self.inv_table = [0] + [power[-i] for i in logs]
+        self.neg, self.inv = self.neg_table.__getitem__, self.inv_table.__getitem__
         self.decode = field.from_int
 
     def mul(self, a, b):
-        return self.tables.mul[a][b]
+        return self.mul_table[a][b]
 
     def sub_multiple(self, row, top, f, start):
-        t = self.tables
-        add, times = t.add, t.mul[t.neg[f]]
+        add, times = self.add_table, self.mul_table[self.neg_table[f]]
         out = row[:]
         for j in range(start, len(row)):
             b = top[j]
@@ -706,7 +682,7 @@ class TableOps:
         return out
 
     def scale(self, row, c, start):
-        times = self.tables.mul[c]
+        times = self.mul_table[c]
         out = row[:]
         for j in range(start, len(row)):
             out[j] = times[row[j]]
@@ -714,15 +690,14 @@ class TableOps:
 
 
 class ModPOps:
-    """Entries are ints modulo a prime p, kept in 0..p-1.  ``decode`` makes
-    elements of ``field``, the FieldSpec of GF(p), which callers that never
-    decode may omit."""
+    """Entries are ints modulo the prime p of ``field``, a prime field, kept
+    in 0..p-1."""
 
     zero, one = 0, 1
     encode = staticmethod(FieldElement.to_int)
 
-    def __init__(self, p: int, field: Optional[FieldSpec] = None):
-        self.p = p
+    def __init__(self, field: FieldSpec):
+        self.p = field.p
         self.field = field
 
     def decode(self, a):
@@ -764,10 +739,10 @@ class PackedOps:
     def __init__(self, field: FieldSpec):
         self.field = field
         self.p = field.p
-        k = field.packing()
+        k = Packing(field.p, [t[0] for t in field.mod_tail])
         self.pack, self.unpack, self.mul = k.pack, k.unpack, k.mul
         self._reduce = k.reduce
-        self.base, self.modulus = ModPOps(field.p), k.modulus
+        self.base, self.modulus = field_ops(field.base), k.modulus
 
     def encode(self, a: FieldElement) -> int:
         return self.pack(a.coeffs)
@@ -875,20 +850,24 @@ class LevelOps:
 
 
 def field_ops(field: FieldSpec):
-    """The backend for entries of this field: ints mod p for a prime field,
-    index tables for an extension field of order at most TABLE_ORDER_LIMIT,
-    packed ints for any other single-level extension of a prime field, and
-    polynomials over the level below for the multi-level towers."""
-    if field.D == 1:
-        return ModPOps(field.p, field)
-    # the order is at least 2^D, so testing D first keeps p ** D from being
-    # computed for a deep tower
-    small = field.D < TABLE_ORDER_LIMIT.bit_length()
-    if small and field.order <= TABLE_ORDER_LIMIT:
-        return TableOps(field)
-    if len(field.dims) == 1:
-        return PackedOps(field)
-    return field._level()
+    """The backend for entries of this field, built on first use and kept
+    on the FieldSpec: index tables for a field of order at most
+    TABLE_ORDER_LIMIT, ints mod p for a larger prime field, packed ints for
+    a larger single-level extension of a prime field, and polynomials over
+    the level below for the larger multi-level towers."""
+    if field._ops is None:
+        # the order is at least 2^D, so testing D first keeps p ** D from
+        # being computed for a deep tower
+        small = field.D < TABLE_ORDER_LIMIT.bit_length()
+        if small and field.order <= TABLE_ORDER_LIMIT:
+            field._ops = TableOps(field)
+        elif field.D == 1:
+            field._ops = ModPOps(field)
+        elif len(field.dims) == 1:
+            field._ops = PackedOps(field)
+        else:
+            field._ops = field._level()
+    return field._ops
 
 
 # -- polynomial arithmetic over a field, through a backend -----------------------------

@@ -5,12 +5,12 @@ reduction in mdskit.  It works on plain lists of rows through a backend
 with two row operations (subtract a multiple of the pivot row, scale a row;
 both from the pivot column on) and the multiply, negate and inverse that
 pivoting needs.  The four backends live in :mod:`mdskit.fields` and are
-re-exported here: ints mod p (:class:`ModPOps`) for every prime field and
-the generic oracle field, index tables (:class:`TableOps`) for extension
-fields of order at most :data:`TABLE_ORDER_LIMIT`, Kronecker-packed ints
+re-exported here: index tables (:class:`TableOps`) for every field of order
+at most :data:`TABLE_ORDER_LIMIT`, ints mod p (:class:`ModPOps`) for every
+larger prime field and the generic oracle field, Kronecker-packed ints
 (:class:`PackedOps`) for every larger single-level extension of a prime
 field, and polynomials over the level below (:class:`LevelOps`) for the
-multi-level towers.
+larger multi-level towers.
 
 :func:`field_ops` picks the backend from the field alone, and ``det``,
 ``rank``, ``rref``, ``kernel``, ``solve`` and ``subspace_intersection_dim``

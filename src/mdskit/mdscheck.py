@@ -12,9 +12,10 @@ Decision paths implemented here:
   k x k stack of the sets' normal vectors, cached per set, must be
   nonsingular.  For three sets the enumeration is reduced to sizes <= k-1
   after an MDS precheck.  The generator matrix is encoded once for the
-  backend ``linalg.field_ops`` picks (ints mod p, index tables, packed ints
-  for larger single-level extensions, or polynomials over the level below
-  for the multi-level towers) and every certificate is eliminated in that
+  backend ``linalg.field_ops`` picks (index tables for fields of order up
+  to 64, ints mod p for larger prime fields, packed ints for larger
+  single-level extensions, or polynomials over the level below for the
+  larger multi-level towers) and every certificate is eliminated in that
   encoding.
   ``linalg.block_mds_matrix``, the (ell k) x (ell k) block certificate, is
   the reference the tests compare it with.
@@ -24,13 +25,13 @@ Decision paths implemented here:
 * ``lb_witness_projective``: the projective-point distinctness witness
   behind the field-size lower bound, its cross products on the backend.
 * ``exhaustive_code_search``: complete systematic enumeration at tiny
-  parameters, with elements as canonical indices.  An MDS(3) code is MDS,
+  parameters, on the backend ``field_ops`` picks.  An MDS(3) code is MDS,
   so every k-subset of coordinates is an information set and each code is
   met exactly once as [I | X] with the identity on the first k
   coordinates; the reported candidates still count all C(n, k) placements
   that this one stands for.  Minors and the same span-intersection
-  certificate as ``is_mds_ell`` (in closed form at k = 3) run through the
-  table backend of ``linalg``'s one elimination routine.
+  certificate as ``is_mds_ell`` (in closed form at k = 3 on the table
+  backend) run through ``linalg``'s one elimination routine.
 
 All reports carry the number of tuples examined (determinant evaluations
 or point comparisons performed) and wall time.
@@ -247,8 +248,7 @@ def _first_intersecting(cols, k, tuples, ops) -> Tuple[int, Optional[tuple]]:
     """
     closed = k == 3 and isinstance(ops, TableOps)
     if closed:
-        t = ops.tables
-        add, mul, neg = t.add, t.mul, t.neg
+        add, mul, neg = ops.add_table, ops.mul_table, ops.neg_table
     normals: Dict[Tuple[int, ...], list] = {}
     count = 0
     for count, sets in enumerate(tuples, 1):
@@ -584,16 +584,16 @@ class SearchResult:
     candidates: int
 
 
-def _nonsingular_blocks(k: int, w: int, q: int, ops) -> Iterator[List[tuple]]:
-    """Every k x w block over GF(q) whose square minors are all nonzero, in
-    lexicographic row-major order.
+def _nonsingular_blocks(k: int, w: int, values: list, ops) -> Iterator[List[tuple]]:
+    """Every k x w block whose square minors are all nonzero, in
+    lexicographic row-major order over the order of values.
 
-    Rows are drawn from the nonzero indices (a zero entry is a vanishing
-    1 x 1 minor) and added one at a time; each minor of size >= 2 is checked
-    once, when the last of its rows is added, so a failing prefix is never
-    extended.
+    Entries are drawn from values, the nonzero elements in the backend's
+    encoding (a zero entry is a vanishing 1 x 1 minor), and rows are added
+    one at a time; each minor of size >= 2 is checked once, when the last of
+    its rows is added, so a failing prefix is never extended.
     """
-    pool = list(itertools.product(range(1, q), repeat=w))
+    pool = list(itertools.product(values, repeat=w))
 
     def minors_nonzero(block):
         i = len(block) - 1
@@ -635,9 +635,9 @@ def exhaustive_code_search(
     placements with row-space deduplication would; `candidates` counts that
     sweep's space, C(n, k) * q^(k(n-k)).  The per-candidate decision is
     exact: the code must be MDS (X totally nonsingular) and every filtered
-    (k-1)-sized triple must have trivial span intersection.  Elements are
-    canonical indices and all elimination runs through the table backend of
-    linalg.
+    (k-1)-sized triple must have trivial span intersection.  Blocks run over
+    the nonzero elements in canonical index order, and all arithmetic runs
+    through the backend ``field_ops`` picks for GF(q).
     """
     if prop != "mds3":
         raise WrongKindError(f"unsupported search property {prop!r}")
@@ -651,21 +651,22 @@ def exhaustive_code_search(
             f"q^(k(n-k)) = {q ** (k * w)} exceeds budget {budget}"
         )
     field = field_of_order(q)
-    ops = TableOps(field)
+    ops = field_ops(field)
+    values = [ops.encode(field.from_int(v)) for v in range(1, q)]
     tuples = [
         sets
         for sets in _canonical_tuples(n, k, 3, k - 1)
         if _generically_zero(sets, k)
     ]
-    identity = [tuple(int(t == i) for t in range(k)) for i in range(k)]
+    identity = [tuple(map(ops.encode, row)) for row in MatrixF.identity(field, k).rows]
     count = 0
     exemplars: List[CodeSpec] = []
-    for x_rows in _nonsingular_blocks(k, w, q, ops):
+    for x_rows in _nonsingular_blocks(k, w, values, ops):
         cols = identity + [tuple(row[j] for row in x_rows) for j in range(w)]
         if _first_intersecting(cols, k, tuples, ops)[1] is not None:
             continue
         count += 1
         if len(exemplars) < exemplar_cap:
-            elems = [[field.from_int(c[i]) for c in cols] for i in range(k)]
+            elems = [[ops.decode(c[i]) for c in cols] for i in range(k)]
             exemplars.append(explicit_code(field, elems))
     return SearchResult(count, exemplars, comb(n, k) * q ** (k * w))

@@ -1,5 +1,7 @@
 """Tests for list-decodability deciders and tensor-code recoverability."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -24,10 +26,12 @@ from mdskit.applications import (
     worst_case_ld_check,
 )
 from mdskit.codes import (
-    GENERIC_ORACLE_PRIME,
+    GENERIC_ORACLE_FIELD,
+    CodeSpec,
     dual_code,
     explicit_code,
     generator_matrix,
+    parse_code,
     rs_code,
 )
 from mdskit.errors import (
@@ -35,8 +39,8 @@ from mdskit.errors import (
     FieldMismatchError,
     SizeConstraintError,
 )
-from mdskit.fields import field_make
-from mdskit.linalg import MatrixF, ModPOps, TableOps, rank
+from mdskit.fields import field_make, field_of_order
+from mdskit.linalg import MatrixF, TableOps, field_ops, rank
 from mdskit.mdscheck import is_mds, is_mds_ell
 
 F2 = field_make(2, [])
@@ -307,6 +311,179 @@ def test_average_implies_worst_case_random_pool():
         tested += 1
 
 
+# -- the list-decoding sweeps against the table-indexing references ---------------
+
+
+def _ld_single_reference(code, ell):
+    """One list size of ld_mds_check as a sweep that sums each syndrome
+    entry by entry in the field's index tables: (ok, vectors, detail)."""
+    n, k = code.n, code.k
+    if k == n:
+        return True, 1, None
+    if k == 0:
+        return True, 0, None
+    w_max = ell * (n - k)
+    q = code.field.order
+    tables = TableOps(code.field)
+    add, mul = tables.add_table, tables.mul_table
+    h = generator_matrix(dual_code(code))
+    hrows = [[x.to_int() for x in row] for row in h.rows]
+    buckets = {}
+    seen = 0
+    for w in range(w_max + 1):
+        for supp in itertools.combinations(range(n), w):
+            for vals in itertools.product(range(1, q), repeat=w):
+                seen += 1
+                syn = []
+                for hrow in hrows:
+                    acc = 0
+                    for p, v in zip(supp, vals):
+                        acc = add[acc][mul[hrow[p]][v]]
+                    syn.append(acc)
+                best = buckets.setdefault(tuple(syn), [])
+                if len(best) > ell:
+                    continue
+                vec = [0] * n
+                for p, v in zip(supp, vals):
+                    vec[p] = v
+                best.append((w, tuple(vec)))
+                if len(best) == ell + 1:
+                    total = sum(b[0] for b in best)
+                    if total <= w_max:
+                        vecs = " | ".join(str(b[1]) for b in best)
+                        detail = (
+                            f"list size {ell}: {ell + 1} distinct vectors share "
+                            f"a syndrome with total weight {total} <= {w_max}: "
+                            f"{vecs}"
+                        )
+                        return False, seen, detail
+    return True, seen, None
+
+
+def _ld_reference(code, L, up_to):
+    total = 0
+    for ell in range(1, L + 1) if up_to else (L,):
+        ok, seen, detail = _ld_single_reference(code, ell)
+        total += seen
+        if not ok:
+            return False, total, detail
+    return True, total, None
+
+
+def _worst_case_reference(code, L, num, den):
+    """worst_case_ld_check as a sweep of the radius-t ball around every
+    codeword, counting the codewords near each point in the field's index
+    tables: (ok, swept, detail)."""
+    n, k = code.n, code.k
+    q = code.field.order
+    t = min((num * n) // den, n)
+    tables = TableOps(code.field)
+    add, mul = tables.add_table, tables.mul_table
+    grows = [[x.to_int() for x in row] for row in generator_matrix(code).rows]
+    codewords = []
+    for msg in itertools.product(range(q), repeat=k):
+        cw = []
+        for j in range(n):
+            acc = 0
+            for i in range(k):
+                acc = add[acc][mul[msg[i]][grows[i][j]]]
+            cw.append(acc)
+        codewords.append(tuple(cw))
+    counts = {}
+    swept = 0
+    offender = None
+    for cw in codewords:
+        for w in range(t + 1):
+            for supp in itertools.combinations(range(n), w):
+                for vals in itertools.product(range(1, q), repeat=w):
+                    swept += 1
+                    y = list(cw)
+                    for p, v in zip(supp, vals):
+                        y[p] = add[y[p]][v]
+                    y = tuple(y)
+                    c = counts.get(y, 0) + 1
+                    counts[y] = c
+                    if c > L and offender is None:
+                        offender = y
+        if offender is not None:
+            break
+    if offender is not None:
+        near = [cw for cw in codewords if sum(a != b for a, b in zip(cw, offender)) <= t]
+        detail = (
+            f"center {offender} has {len(near)} > {L} codewords within "
+            f"radius {t}: " + " | ".join(str(cw) for cw in near)
+        )
+        return False, swept, detail
+    return True, swept, f"radius {t}, max list size {max(counts.values())}"
+
+
+def _sweep_pool(field, rng, max_n):
+    """For every 2 <= n <= max_n and 0 <= k <= n: a Reed-Solomon code with
+    scaled columns when n <= q, else a random code, and a random code with
+    a zero column or a repeated one."""
+    q = field.order
+    codes = []
+    for n in range(2, max_n + 1):
+        codes.append(CodeSpec(field, n, 0, "explicit", matrix=MatrixF(field, [])))
+        for k in range(1, n + 1):
+            if n <= q:
+                points = [field.from_int(a) for a in rng.sample(range(q), n)]
+                scale = [field.from_int(rng.randrange(1, q)) for _ in range(n)]
+                g = generator_matrix(rs_code(field, points, k))
+                codes.append(
+                    explicit_code(field, [[s * e for s, e in zip(scale, r)] for r in g.rows])
+                )
+            else:
+                codes.append(_random_code(rng, field, q, n, k))
+            if k < n:
+                code = _random_code(rng, field, q, n, k)
+                rows = [list(r) for r in generator_matrix(code).rows]
+                last = [field.zero] * k if rng.random() < 0.5 else [r[0] for r in rows]
+                rows = [r[:-1] + [x] for r, x in zip(rows, last)]
+                if rank(MatrixF(field, rows)) == k:
+                    codes.append(explicit_code(field, rows))
+    return codes
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_list_decoding_sweeps_match_table_references(q):
+    field = field_of_order(q)
+    rng = random.Random(q)
+    budget = 7000
+    verdicts = set()
+    for code in _sweep_pool(field, rng, 5 if q <= 3 else 4):
+        n, k = code.n, code.k
+        for L in (1, 2, 3):
+            for up_to in (True, False):
+                try:
+                    r = ld_mds_check(code, L, up_to=up_to, budget=budget)
+                except BudgetExceededError:
+                    continue
+                want = _ld_reference(code, L, up_to)
+                assert (r.ok, r.tuples, r.detail) == want, (n, k, L, up_to)
+                verdicts.add(("ld", r.ok))
+        for num, den in ((0, 1), (1, 3), (1, 2), (2, 3), (1, 1)):
+            t = min(num * n // den, n)
+            ball = sum(math.comb(n, w) * (q - 1) ** w for w in range(t + 1))
+            if q**n > budget or q**k * ball > budget:
+                continue
+            for L in (0, 1, 2, 3):
+                r = worst_case_ld_check(code, L, num, den, budget=budget)
+                want = _worst_case_reference(code, L, num, den)
+                assert (r.ok, r.tuples, r.detail) == want, (n, k, L, num, den)
+                verdicts.add(("wc", r.ok, L > 0))
+    assert verdicts == {
+        ("ld", True), ("ld", False), ("wc", True, True), ("wc", False, True),
+        ("wc", False, False),
+    }
+
+
+def test_list_decoding_over_a_large_prime_builds_no_tables(no_large_tables):
+    f = field_make(10007)
+    r = ld_mds_check(rs_code(f, [f.from_int(0), f.from_int(1)], 1), 1)
+    assert (r.ok, r.tuples) == (True, 20013)
+
+
 # -- tensor codes --------------------------------------------------------------------
 
 
@@ -391,6 +568,20 @@ def test_mr_sampling_mode_agrees():
     assert sampled.tuples == 200
 
 
+def test_mr_zero_dimensional_row_code():
+    # the tensor code is {0}: every one of the 2^6 patterns is correctable
+    row, _ = parse_code("field p=5\ncode n=3 k=0 kind=explicit\n")
+    r = mr_check(TensorCodeSpec(single_parity_code(F5, 2), row))
+    assert r.ok and r.detail == "mode=exhaustive; 64 of 64 patterns correctable"
+
+
+def test_mr_over_a_field_above_the_table_limit_builds_no_tables(no_large_tables):
+    f = field_make(67)
+    row = rs_code(f, [f.from_int(a) for a in (0, 1, 2, 3)], 2)
+    r = mr_check(TensorCodeSpec(single_parity_code(f, 2), row))
+    assert r.ok and "mode=exhaustive" in r.detail
+
+
 def test_generic_family_cache_is_bounded():
     first = _generic_family(2, 3, 1, 1, 3, 0)
     assert _generic_family(2, 3, 1, 1, 3, 0) is first
@@ -467,13 +658,13 @@ def test_correctable_bits_match_parity_column_reference(field):
         single_parity_code(field, 3),
         explicit_code(field, [[field.one] * 3]),  # repetition code: a = 2
     ]
-    ops = TableOps(field)
+    ops = field_ops(field)
     for col in cols:
         for row in _row_codes(field) + [_random_code(rng, field, field.order, 4, 2)]:
             spec = TensorCodeSpec(col, row)
             m, n = spec.m, spec.n
-            checks = _actual_checks(spec)
-            want = _reference_family(_parity_columns(*checks, m, n), ops)
+            checks = _actual_checks(spec, ops)
+            want = _reference_family(_parity_columns(*checks, m, n, ops), ops)
             assert _correctable_bits(*checks, m, n, ops) == _as_bits(want)
 
 
@@ -482,11 +673,11 @@ def test_correctable_bits_match_parity_column_reference(field):
 )
 def test_generic_correctable_bits_match_parity_column_reference(shape):
     m, n, a, b = shape
-    ops = ModPOps(GENERIC_ORACLE_PRIME)
+    ops = field_ops(GENERIC_ORACLE_FIELD)
     rng = random.Random(sum(shape))
     for _ in range(2):
         checks = _generic_checks(m, n, a, b, rng)
-        want = _reference_family(_parity_columns(*checks, m, n), ops)
+        want = _reference_family(_parity_columns(*checks, m, n, ops), ops)
         assert _correctable_bits(*checks, m, n, ops) == _as_bits(want)
 
 
@@ -494,12 +685,13 @@ def test_generic_correctable_bits_match_parity_column_reference(shape):
 def test_majority_matches_dict_vote(trials):
     # random codes over GF(2) disagree with each other, so the vote has ties
     rng = random.Random(trials)
-    ops = TableOps(F2)
+    ops = field_ops(F2)
     col = single_parity_code(F2, 2)
     families = []
     for _ in range(trials):
         spec = TensorCodeSpec(col, _random_code(rng, F2, 2, 4, 2))
-        families.append(_reference_family(_parity_columns(*_actual_checks(spec), 2, 4), ops))
+        checks = _actual_checks(spec, ops)
+        families.append(_reference_family(_parity_columns(*checks, 2, 4, ops), ops))
     got = _majority([_as_bits(f) for f in families])
     assert got == _as_bits(_vote(families, trials))
 
@@ -508,9 +700,9 @@ def test_majority_matches_dict_vote(trials):
 def test_generic_family_matches_dict_vote(trials):
     m, n, a, b = 2, 4, 1, 2
     rng = random.Random(99)
-    ops = ModPOps(GENERIC_ORACLE_PRIME)
+    ops = field_ops(GENERIC_ORACLE_FIELD)
     families = [
-        _reference_family(_parity_columns(*_generic_checks(m, n, a, b, rng), m, n), ops)
+        _reference_family(_parity_columns(*_generic_checks(m, n, a, b, rng), m, n, ops), ops)
         for _ in range(trials)
     ]
     assert _generic_family(m, n, a, b, trials, 99) == _as_bits(_vote(families, trials))

@@ -120,6 +120,14 @@ def test_dual_of_full_code_is_zero():
     assert d.k == 0 and d.n == 3
 
 
+def test_dual_of_zero_code_is_full():
+    # a parsed [3, 0] code's generator matrix has no rows, nor columns
+    zero, _ = parse_code("field p=5\ncode n=3 k=0 kind=explicit\n")
+    d = dual_code(zero)
+    assert (d.n, d.k) == (3, 3)
+    assert d.matrix == MatrixF.identity(F5, 3)
+
+
 # -- puncturing --------------------------------------------------------------------
 
 

@@ -148,15 +148,17 @@ F3_42 = field_make(3, [4, 2])  # over the packed field GF(81)
 F256 = field_make(2, [2, 2, 2])  # over the table field GF(16)
 F5_322 = field_make(5, [3, 2, 2])  # a level backend over a level backend
 FP = field_make(GENERIC_ORACLE_PRIME)
+F67 = field_make(67)
 
 
 def test_field_ops_picks_backend_by_field():
-    assert F16.order <= TABLE_ORDER_LIMIT < F81.order < F729.order
+    assert F16.order <= TABLE_ORDER_LIMIT < F67.order < F81.order < F729.order
     for field, backend in [
-        (F7, ModPOps), (FP, ModPOps), (F9, TableOps), (F16, TableOps),
-        (F81, PackedOps), (F729, LevelOps),
+        (F7, TableOps), (F67, ModPOps), (FP, ModPOps), (F9, TableOps),
+        (F16, TableOps), (F81, PackedOps), (F729, LevelOps),
     ]:
         assert type(field_ops(field)) is backend
+        assert field_ops(field) is field_ops(field)
 
 
 @st.composite

@@ -33,6 +33,7 @@ from mdskit.fields import field_make, field_of_order
 from mdskit.linalg import (
     MatrixF,
     ModPOps,
+    PackedOps,
     TableOps,
     block_mds_matrix,
     det,
@@ -258,14 +259,14 @@ def test_modp_backend_matches_int_oracle(data):
     backend."""
     p = data.draw(st.sampled_from([5, 13, GENERIC_ORACLE_PRIME]))
     ints = _int_matrix(data, p)
-    ops = ModPOps(p)
+    field = field_make(p)
+    ops = ModPOps(field)
     rows = [list(r) for r in ints]
     got_pivots, _ = eliminate(rows, ops)
     want_rows, want_pivots = _int_rref(ints, p)
     assert got_pivots == want_pivots and rows == want_rows
     assert null_basis(ints, len(ints[0]), ops) == _int_null_basis(ints, p)
     sq = _square(ints)
-    field = field_make(p)
     d = eliminate([list(r) for r in sq], ops, reduced=False)[1]
     sq_elems = [[field.element(v) for v in r] for r in sq]
     assert d == eliminate(sq_elems, FieldOps(field), reduced=False)[1].to_int()
@@ -845,6 +846,25 @@ def test_search_budget_guard():
         exhaustive_code_search(6, 3, 4, budget=10**3)
 
 
+def test_search_over_a_large_prime_builds_no_tables(no_large_tables):
+    res = exhaustive_code_search(2, 1, 10007)
+    assert (res.count, res.candidates) == (10006, 20014)
+
+
+def test_search_on_the_packed_backend():
+    # [3, 2] over GF(81): no triple is filtered in, so every block of two
+    # nonzero entries counts, and the exemplars are the first blocks in
+    # canonical index order
+    f = field_of_order(81)
+    assert type(field_ops(f)) is PackedOps
+    res = exhaustive_code_search(3, 2, 81)
+    assert res.count == 80**2
+    one, zero = f.one, f.zero
+    assert [ex.matrix.rows for ex in res.exemplars] == [
+        ((one, zero, one), (zero, one, f.from_int(v))) for v in range(1, 11)
+    ]
+
+
 def test_search_rejects_unknown_property():
     with pytest.raises(WrongKindError):
         exhaustive_code_search(4, 2, 3, prop="mds9")
@@ -965,7 +985,7 @@ def test_k3_closed_form_rejections_match_generic_path_and_block_reference():
     identity = [tuple(int(t == i) for t in range(k)) for i in range(k)]
     blocks = [
         identity + [tuple(row[j] for row in x) for j in range(n - k)]
-        for x in _nonsingular_blocks(k, n - k, 4, table)
+        for x in _nonsingular_blocks(k, n - k, [1, 2, 3], table)
     ]
     assert len(blocks) == 486
     got = [_first_intersecting(cols, k, tuples, table) for cols in blocks]
