@@ -554,12 +554,17 @@ def mr_check(
     the down-closure of the complements of the bases of the tensor
     generator's columns.  Otherwise a seeded uniform sample of `budget`
     patterns is compared by column ranks of the parity check, with coverage
-    in the detail.
+    in the detail; a budget of 0 samples nothing and is refused.  A
+    negative budget or fewer than one trial is a size error.
     """
     t0 = time.perf_counter()
     m, n, a, b = spec.m, spec.n, spec.a, spec.b
     if a < 1 or b < 0:
         raise SizeConstraintError("need a >= 1 and b >= 0")
+    if trials < 1:
+        raise SizeConstraintError(f"need trials >= 1, got {trials}")
+    if budget < 0:
+        raise SizeConstraintError(f"need budget >= 0, got {budget}")
     cells = m * n
     prop = f"mr-tensor(m={m},n={n},a={a},b={b})"
     act_ops = field_ops(spec.row_code.field)
@@ -587,6 +592,8 @@ def mr_check(
         return _report(prop, True, 2**cells, t0, detail=detail)
 
     # sampling mode
+    if budget == 0:
+        raise BudgetExceededError(f"budget 0 samples none of {2**cells} patterns")
     act_cols = _parity_columns(*_actual_checks(spec, act_ops), m, n, act_ops)
     rng = random.Random(seed)
     gen_ops = field_ops(GENERIC_ORACLE_FIELD)

@@ -398,6 +398,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise UsageError(f"--budget must be at least 0, got {args.budget}")
         return args.func(args)
     except (UsageError, SizeConstraintError) as exc:
         # a size constraint broken by an argument is a usage error, not a

@@ -29,9 +29,12 @@ Decision paths implemented here:
   so every k-subset of coordinates is an information set and each code is
   met exactly once as [I | X] with the identity on the first k
   coordinates; the reported candidates still count all C(n, k) placements
-  that this one stands for.  Minors and the same span-intersection
-  certificate as ``is_mds_ell`` (in closed form at k = 3 on the table
-  backend) run through ``linalg``'s one elimination routine.
+  that this one stands for.  Scaling the rows and columns of X keeps the
+  code MDS(3), so only the blocks whose first row and first column are
+  ones are certified, one per orbit of (q-1)^(n-1) blocks; the exemplars
+  are rebuilt from them in the full sweep's order.  Minors and the same
+  span-intersection certificate as ``is_mds_ell`` (in closed form at k = 3
+  on the table backend) run through ``linalg``'s one elimination routine.
 
 All reports carry the number of tuples examined (determinant evaluations
 or point comparisons performed) and wall time.
@@ -582,18 +585,24 @@ class SearchResult:
     count: int
     exemplars: List[CodeSpec]
     candidates: int
+    blocks: int
 
 
 def _nonsingular_blocks(k: int, w: int, values: list, ops) -> Iterator[List[tuple]]:
-    """Every k x w block whose square minors are all nonzero, in
+    """Every normalized k x w block whose square minors are all nonzero, in
     lexicographic row-major order over the order of values.
 
-    Entries are drawn from values, the nonzero elements in the backend's
-    encoding (a zero entry is a vanishing 1 x 1 minor), and rows are added
-    one at a time; each minor of size >= 2 is checked once, when the last of
-    its rows is added, so a failing prefix is never extended.
+    A block is normalized when its first row and first column are all
+    ``ops.one``; the other entries are drawn from values, the nonzero
+    elements in the backend's encoding (a zero entry is a vanishing 1 x 1
+    minor).  Rows are added one at a time; each minor of size >= 2 is
+    checked once, when the last of its rows is added, so a failing prefix
+    is never extended.  The empty block (w = 0) is normalized.
     """
-    pool = list(itertools.product(values, repeat=w))
+    one = ops.one
+    pool = [()]
+    if w:
+        pool = [(one,) + rest for rest in itertools.product(values, repeat=w - 1)]
 
     def minors_nonzero(block):
         i = len(block) - 1
@@ -615,7 +624,42 @@ def _nonsingular_blocks(k: int, w: int, values: list, ops) -> Iterator[List[tupl
                 yield from rec(block)
             block.pop()
 
-    yield from rec([])
+    yield from rec([(one,) * w])
+
+
+def _first_hits(hits: set, k: int, w: int, values: list, ops, cap: int) -> List[list]:
+    """The first cap blocks, in lexicographic row-major order over values,
+    whose normalization is in hits.
+
+    A prefix of rows is normalized by scaling the columns by the inverses
+    of row 0's entries and then each row by the inverse of its first entry,
+    so a row's normal form depends only on itself and row 0.  A prefix is
+    kept only when its normal form is a prefix of some hit; every kept
+    prefix then extends to a block whose normal form is that hit, so the
+    walk makes at most cap * k * (q-1)^w prefix checks.
+    """
+    if not hits:
+        return []
+    prefixes = {hit[:i] for hit in hits for i in range(1, k + 1)}
+    rows = list(itertools.product(values, repeat=w))
+    found: List[list] = []
+
+    def walk(block, norm, col_inv):
+        for row in rows:
+            if len(found) >= cap:
+                return
+            inv = col_inv if block else [ops.inv(a) for a in row]
+            y = [ops.mul(a, s) for a, s in zip(row, inv)]
+            lead = ops.inv(y[0]) if y else ops.one
+            key = norm + (tuple(ops.mul(a, lead) for a in y),)
+            if key in prefixes:
+                if len(key) == k:
+                    found.append(block + [row])
+                else:
+                    walk(block + [row], key, inv)
+
+    walk([], (), None)
+    return found
 
 
 def exhaustive_code_search(
@@ -635,9 +679,19 @@ def exhaustive_code_search(
     placements with row-space deduplication would; `candidates` counts that
     sweep's space, C(n, k) * q^(k(n-k)).  The per-candidate decision is
     exact: the code must be MDS (X totally nonsingular) and every filtered
-    (k-1)-sized triple must have trivial span intersection.  Blocks run over
-    the nonzero elements in canonical index order, and all arithmetic runs
-    through the backend ``field_ops`` picks for GF(q).
+    (k-1)-sized triple must have trivial span intersection.
+
+    Scaling the rows and columns of X by nonzero scalars keeps the code MDS
+    and MDS(3), and the torus (F*)^k x (F*)^(n-k), modulo its common
+    scalar, acts freely on blocks without zeros, so each orbit holds
+    (q-1)^(n-1) blocks and exactly one normalized block, whose first row
+    and first column are ones.  Only normalized blocks are certified (their
+    number is `blocks`), and `count` is the number of hits times
+    (q-1)^(n-1); at k = n the block is empty and counts once.  The
+    exemplars are the first exemplar_cap hits in lexicographic row-major
+    order over the nonzero elements in canonical index order, rebuilt from
+    the normalized hits by ``_first_hits``.  All arithmetic runs through
+    the backend ``field_ops`` picks for GF(q).
     """
     if prop != "mds3":
         raise WrongKindError(f"unsupported search property {prop!r}")
@@ -659,14 +713,18 @@ def exhaustive_code_search(
         if _generically_zero(sets, k)
     ]
     identity = [tuple(map(ops.encode, row)) for row in MatrixF.identity(field, k).rows]
-    count = 0
-    exemplars: List[CodeSpec] = []
+    hits = set()
+    blocks = 0
     for x_rows in _nonsingular_blocks(k, w, values, ops):
+        blocks += 1
         cols = identity + [tuple(row[j] for row in x_rows) for j in range(w)]
-        if _first_intersecting(cols, k, tuples, ops)[1] is not None:
-            continue
-        count += 1
-        if len(exemplars) < exemplar_cap:
-            elems = [[ops.decode(c[i]) for c in cols] for i in range(k)]
-            exemplars.append(explicit_code(field, elems))
-    return SearchResult(count, exemplars, comb(n, k) * q ** (k * w))
+        if _first_intersecting(cols, k, tuples, ops)[1] is None:
+            hits.add(tuple(x_rows))
+    exemplars = [
+        explicit_code(
+            field, [[ops.decode(c) for c in identity[i] + x_rows[i]] for i in range(k)]
+        )
+        for x_rows in _first_hits(hits, k, w, values, ops, exemplar_cap)
+    ]
+    count = len(hits) * (q - 1) ** (n - 1 if w else 0)
+    return SearchResult(count, exemplars, comb(n, k) * q ** (k * w), blocks)

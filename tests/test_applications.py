@@ -596,6 +596,20 @@ def test_mr_validation():
         mr_check(TensorCodeSpec(full_col, _rs(F5, 5, 3)))
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"budget": -1}, {"trials": 0}, {"trials": -2}],
+    ids=["budget_negative", "trials_zero", "trials_negative"],
+)
+def test_mr_rejects_malformed_budget_and_trials(kwargs):
+    with pytest.raises(SizeConstraintError):
+        mr_check(_spec_3x5(_rs(F5, 5, 3)), **kwargs)
+
+
+def test_mr_sampling_with_no_pattern_is_refused():
+    with pytest.raises(BudgetExceededError):
+        mr_check(_spec_3x5(_rs(F5, 5, 3)), budget=0)
+
+
 # -- correctable families against the parity-column reference ------------------------
 
 

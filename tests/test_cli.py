@@ -165,9 +165,14 @@ def test_check_mr_requires_m(tmp_path, capsys):
         ["check", "--property", "mdsell", "--ell", "0"],
         ["ld-check", "--list-size", "0"],
         ["check", "--property", "mr", "--m", "1"],
+        ["check", "--property", "mr", "--m", "2", "--budget", "-1"],
+        ["check", "--property", "mr", "--m", "2", "--trials", "0"],
+        ["check", "--property", "mr", "--m", "2", "--trials", "-2"],
+        ["tensor-check", "--m", "2", "--trials", "0"],
     ],
     ids=["pattern_one_coordinate", "pattern_not_int", "pattern_off_grid",
-         "ell_zero", "list_size_zero", "mr_m_one"],
+         "ell_zero", "list_size_zero", "mr_m_one", "mr_budget_negative",
+         "mr_trials_zero", "mr_trials_negative", "tensor_trials_zero"],
 )
 def test_bad_argument_exits_2(tmp_path, capsys, args):
     path = _write(tmp_path, "good.txt", GOOD43)
@@ -176,6 +181,40 @@ def test_bad_argument_exits_2(tmp_path, capsys, args):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("mdskit: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "{path}", "--property", "mds"],
+        ["check", "{path}", "--property", "mr", "--m", "2"],
+        ["tensor-check", "{path}", "--m", "2"],
+        ["ld-check", "{path}", "--list-size", "1"],
+        ["search", "--n", "4", "--k", "2", "--q", "3"],
+        ["verify-certificates"],
+    ],
+    ids=["check", "check_mr", "tensor_check", "ld_check", "search",
+         "verify_certificates"],
+)
+def test_negative_budget_exits_2(tmp_path, capsys, args):
+    path = _write(tmp_path, "good.txt", GOOD43)
+    argv = [path if a == "{path}" else a for a in args] + ["--budget", "-1"]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "mdskit: --budget must be at least 0, got -1\n"
+
+
+def test_check_mr_sampling_no_pattern_exits_3(tmp_path, capsys):
+    # a budget of 0 is below the 2^8 patterns, so the check samples, and a
+    # sample of no pattern decides nothing
+    path = _write(tmp_path, "good.txt", GOOD43)
+    rc = cli.main(["check", path, "--property", "mr", "--m", "2", "--budget", "0"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "budget" in captured.err
 
 
 def test_check_mr_property(tmp_path, capsys):

@@ -956,6 +956,36 @@ def test_search_k4_certificate_matches_int_oracle():
     assert verdicts == [True, True, False, False]
 
 
+def _all_nonsingular_blocks(k, w, values, ops):
+    """Every k x w block whose square minors are all nonzero, in
+    lexicographic row-major order over values: the search's enumerator
+    before torus normalization, each minor eliminated when its last row is
+    added."""
+    pool = list(itertools.product(values, repeat=w))
+
+    def minors_nonzero(block):
+        i = len(block) - 1
+        for size in range(2, min(i + 1, w) + 1):
+            for rr in itertools.combinations(range(i), size - 1):
+                for cc in itertools.combinations(range(w), size):
+                    sub = [[block[r][j] for j in cc] for r in rr + (i,)]
+                    if not eliminate(sub, ops, reduced=False)[1]:
+                        return False
+        return True
+
+    def rec(block):
+        if len(block) == k:
+            yield list(block)
+            return
+        for row in pool:
+            block.append(row)
+            if minors_nonzero(block):
+                yield from rec(block)
+            block.pop()
+
+    yield from rec([])
+
+
 def _first_singular_block(cols, field, tuples):
     """(tuples examined, first tuple whose block_mds_matrix is singular),
     the block eliminated with FieldElements."""
@@ -969,7 +999,8 @@ def _first_singular_block(cols, field, tuples):
 
 
 def test_k3_closed_form_rejections_match_generic_path_and_block_reference():
-    """At (6, 3, 4) all 486 MDS blocks of the search fail MDS(3).  The
+    """At (6, 3, 4) all 486 MDS blocks of the unnormalized sweep fail
+    MDS(3).  The
     certificate takes its k = 3 closed form on the table backend and must
     reject every block; on a seeded sample the generic path (the same
     function on FieldElements) and the per-tuple block matrix must return
@@ -985,7 +1016,7 @@ def test_k3_closed_form_rejections_match_generic_path_and_block_reference():
     identity = [tuple(int(t == i) for t in range(k)) for i in range(k)]
     blocks = [
         identity + [tuple(row[j] for row in x) for j in range(n - k)]
-        for x in _nonsingular_blocks(k, n - k, [1, 2, 3], table)
+        for x in _all_nonsingular_blocks(k, n - k, [1, 2, 3], table)
     ]
     assert len(blocks) == 486
     got = [_first_intersecting(cols, k, tuples, table) for cols in blocks]
@@ -994,6 +1025,113 @@ def test_k3_closed_form_rejections_match_generic_path_and_block_reference():
         decoded = [[F4.from_int(c) for c in col] for col in blocks[i]]
         assert _first_intersecting(decoded, k, tuples, FieldOps(F4)) == got[i]
         assert _first_singular_block(decoded, F4, tuples) == got[i]
+
+
+# -- the normalized search against the unnormalized full sweep ------------------------
+
+
+def _search_setup(n, k, q):
+    field = field_of_order(q)
+    ops = field_ops(field)
+    values = [ops.encode(field.from_int(v)) for v in range(1, q)]
+    tuples = [
+        t
+        for t in _canonical_tuples(n, k, 3, k - 1)
+        if generically_zero(SetTuple(t, n, k))
+    ]
+    identity = [
+        tuple(ops.one if t == i else ops.zero for t in range(k)) for i in range(k)
+    ]
+    return field, ops, values, tuples, identity
+
+
+def reference_search(n, k, q, exemplar_cap=10):
+    """(count, candidates, exemplar rows) of the unnormalized search: every
+    totally nonsingular block certified, each hit counted once, and the
+    first exemplar_cap hits kept, decoded."""
+    field, ops, values, tuples, identity = _search_setup(n, k, q)
+    count, exemplars = 0, []
+    for x in _all_nonsingular_blocks(k, n - k, values, ops):
+        cols = identity + [tuple(row[j] for row in x) for j in range(n - k)]
+        if _first_intersecting(cols, k, tuples, ops)[1] is None:
+            count += 1
+            if len(exemplars) < exemplar_cap:
+                exemplars.append(
+                    tuple(tuple(ops.decode(c[i]) for c in cols) for i in range(k))
+                )
+    return count, math.comb(n, k) * q ** (k * (n - k)), exemplars
+
+
+def _normalized(block, one):
+    return all(a == one for a in block[0]) and all(row[0] == one for row in block if row)
+
+
+def assert_search_matches_reference(n, k, q, exemplar_cap=10):
+    res = exhaustive_code_search(n, k, q, exemplar_cap=exemplar_cap)
+    got = (res.count, res.candidates, [ex.matrix.rows for ex in res.exemplars])
+    assert got == reference_search(n, k, q, exemplar_cap), (n, k, q)
+    # the enumerator yields exactly the normalized blocks of the full sweep,
+    # in its order, and each of them reaches the certificate once
+    _, ops, values, _, _ = _search_setup(n, k, q)
+    want = [
+        x
+        for x in _all_nonsingular_blocks(k, n - k, values, ops)
+        if _normalized(x, ops.one)
+    ]
+    assert list(_nonsingular_blocks(k, n - k, values, ops)) == want
+    assert res.blocks == len(want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_normalized_search_matches_full_sweep_on_small_shapes(q):
+    """Every 1 <= k <= n <= 6 with q^(k(n-k)) <= 512.  The grid holds the
+    edge cases: k = n (the empty block, counted once), k = 1 and n - k = 1
+    (no minor above 1 x 1), and q = 2, where the torus factor is 1."""
+    shapes = [
+        (n, k)
+        for n in range(1, 7)
+        for k in range(1, n + 1)
+        if q ** (k * (n - k)) <= 512
+    ]
+    assert any(n == k for n, k in shapes)
+    assert any(k == 1 < n for n, k in shapes)
+    assert any(n - k == 1 for n, k in shapes)
+    for n, k in shapes:
+        assert_search_matches_reference(n, k, q)
+
+
+@pytest.mark.parametrize("n,k,q", [(5, 2, 5), (6, 4, 4), (5, 3, 5), (6, 3, 4)])
+def test_normalized_search_matches_full_sweep_on_pool_shapes(n, k, q):
+    assert_search_matches_reference(n, k, q)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3, 25])
+def test_normalized_search_exemplar_cap(cap):
+    # caps on both sides of the default 10; 3 normalized hits stand for the
+    # 192 codes of (4, 2, 5) and 2 for the 162 of (5, 3, 4)
+    assert_search_matches_reference(4, 2, 5, exemplar_cap=cap)
+    assert_search_matches_reference(5, 3, 4, exemplar_cap=cap)
+
+
+@pytest.mark.parametrize(
+    "n,k,q", [(5, 2, 4), (5, 2, 5), (5, 2, 7), (6, 2, 4), (6, 2, 5)]
+)
+def test_search_count_is_invariant_under_duality(n, k, q):
+    """The dual of [I | X] is [-X^T | I], and MDS(3) passes to the dual, so
+    [n, k] and [n, n-k] codes over GF(q) are equally many."""
+    dual = exhaustive_code_search(n, n - k, q)
+    assert exhaustive_code_search(n, k, q).count == dual.count
+
+
+def test_search_reports_normalized_blocks_certified():
+    # (5, 3, 5): 6 normalized totally nonsingular blocks, all MDS(3), stand
+    # for 6 * 4^4 = 1536 codes; at (6, 4, 4) a normalized 4 x 2 block needs
+    # three distinct entries other than 1 in its second column, and GF(4)
+    # has two
+    res = exhaustive_code_search(5, 3, 5)
+    assert (res.blocks, res.count) == (6, 1536)
+    res = exhaustive_code_search(6, 4, 4)
+    assert (res.blocks, res.count) == (0, 0)
 
 
 # -- randomized equivalence property --------------------------------------------------
