@@ -22,6 +22,7 @@ from .errors import (
 from .fields import (
     FieldElement,
     FieldSpec,
+    _key_values,
     field_make,
     format_element,
     format_field,
@@ -208,8 +209,8 @@ def generically_zero(tup: SetTuple) -> bool:
 
     True iff every partition of the tuple positions into blocks P_1..P_s
     satisfies sum_i |intersection over P_i| <= (s-1)k.  For three sets this
-    reduces to: the triple intersection is empty, and for each pair
-    |A_i & A_j| + |A_m| <= k.
+    reduces to the test of ``mdscheck._filter_and_strip``: the triple
+    intersection is empty, and for each pair |A_i & A_j| + |A_m| <= k.
     """
     _check_tuple_sizes(tup)
     return _generically_zero(tup.sets, tup.k)
@@ -218,15 +219,6 @@ def generically_zero(tup: SetTuple) -> bool:
 def _generically_zero(sets: Sequence[Sequence[int]], k: int) -> bool:
     """generically_zero on index sets already known to fit (n, k)."""
     sets = [set(a) for a in sets]
-    if len(sets) == 3:
-        a1, a2, a3 = sets
-        if a1 & a2 & a3:
-            return False
-        return (
-            len(a1 & a2) + len(a3) <= k
-            and len(a1 & a3) + len(a2) <= k
-            and len(a2 & a3) + len(a1) <= k
-        )
     for part in set_partitions(range(len(sets))):
         s = len(part)
         total = 0
@@ -330,7 +322,9 @@ def format_code(code: CodeSpec, provenance: Optional[Dict[str, object]] = None) 
 
 
 def parse_code(text: str) -> Tuple[CodeSpec, Dict[str, str]]:
-    """Inverse of format_code; returns the code and its provenance comments."""
+    """Inverse of format_code; returns the code and its provenance comments.
+    What format_code never writes is refused, not skipped: a stray line, a
+    missing, repeated or unknown header key, or a second `code` header."""
     provenance: Dict[str, str] = {}
     field_lines: List[str] = []
     header = None
@@ -345,7 +339,9 @@ def parse_code(text: str) -> Tuple[CodeSpec, Dict[str, str]]:
                 key, val = item.split("=", 1)
                 provenance[key.strip()] = val.strip()
             continue
-        if line.startswith("code "):
+        if line.split()[0] == "code":
+            if header is not None:
+                raise ValueError("a second `code` header line")
             header = line
             continue
         if header is None:
@@ -355,34 +351,28 @@ def parse_code(text: str) -> Tuple[CodeSpec, Dict[str, str]]:
     if header is None:
         raise ValueError("missing `code` header line")
     f = parse_field("\n".join(field_lines))
-    parts = dict(kv.split("=", 1) for kv in header[len("code ") :].split())
+    parts = _key_values(header, ("n", "k", "kind"))
     n, k, kind = int(parts["n"]), int(parts["k"]), parts["kind"]
+    word = {"rs": "gen", "explicit": "row"}.get(kind)
+    if word is None:
+        raise WrongKindError(f"unknown code kind {kind!r}")
+    for line in body:
+        if line.split()[0] != word:
+            raise ValueError(f"unexpected line in a kind={kind} code: {line!r}")
     if kind == "rs":
-        gens = [
-            parse_element(f, line[len("gen ") :])
-            for line in body
-            if line.startswith("gen ")
-        ]
+        gens = [parse_element(f, line[len("gen ") :]) for line in body]
         if len(gens) != n:
             raise DegreeMismatchError(f"expected {n} gen lines, got {len(gens)}")
         return rs_code(f, gens, k), provenance
-    if kind == "explicit":
-        rows = []
-        for line in body:
-            if not line.startswith("row "):
-                continue
-            rows.append(
-                [parse_element(f, tok) for tok in line[len("row ") :].split()]
+    rows = [[parse_element(f, tok) for tok in line.split()[1:]] for line in body]
+    if len(rows) != k:
+        raise DegreeMismatchError(f"expected {k} row lines, got {len(rows)}")
+    for row in rows:
+        if len(row) != n:
+            raise DegreeMismatchError(
+                f"header says n={n}, but a row has {len(row)} entries"
             )
-        if len(rows) != k:
-            raise DegreeMismatchError(f"expected {k} row lines, got {len(rows)}")
-        for row in rows:
-            if len(row) != n:
-                raise DegreeMismatchError(
-                    f"header says n={n}, but a row has {len(row)} entries"
-                )
-        if k == 0:
-            m = MatrixF(f, [])
-            return CodeSpec(f, n, 0, "explicit", matrix=m), provenance
-        return explicit_code(f, rows), provenance
-    raise WrongKindError(f"unknown code kind {kind!r}")
+    if k == 0:
+        m = MatrixF(f, [])
+        return CodeSpec(f, n, 0, "explicit", matrix=m), provenance
+    return explicit_code(f, rows), provenance

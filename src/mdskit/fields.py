@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BudgetExceededError,
@@ -1104,17 +1104,27 @@ def format_field(field: FieldSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _key_values(line: str, keys: Sequence[str]) -> Dict[str, str]:
+    """The key=value items after a line's first word: exactly keys, each
+    once, so a misspelt, repeated or extra key is refused, not ignored."""
+    items = line.split()[1:]
+    out = dict(kv.split("=", 1) for kv in items if "=" in kv)
+    if len(out) != len(items) or sorted(out) != sorted(keys):
+        raise ValueError(f"{line!r} needs exactly the keys {', '.join(keys)}")
+    return out
+
+
 def parse_field(text: str) -> FieldSpec:
     """Inverse of format_field; re-verifies every level on load."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("field p="):
+    if not lines or lines[0].split()[0] != "field":
         raise ValueError("field text must start with a `field p=` line")
-    p = int(lines[0][len("field p=") :])
+    p = int(_key_values(lines[0], ("p",))["p"])
     f = field_make(p)
     for ln in lines[1:]:
-        if not ln.startswith("ext "):
+        if ln.split()[0] != "ext":
             raise ValueError(f"unexpected line in field text: {ln!r}")
-        parts = dict(kv.split("=", 1) for kv in ln[4:].split())
+        parts = _key_values(ln, ("d", "poly"))
         d = int(parts["d"])
         flat = _parse_digits(parts["poly"], p)
         if len(flat) != (d + 1) * f.D:

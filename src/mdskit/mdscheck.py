@@ -11,17 +11,18 @@ Decision paths implemented here:
   predicate, and decides each by the span-intersection certificate: the
   k x k stack of the sets' normal vectors, cached per set, must be
   nonsingular.  For three sets the enumeration is reduced to sizes <= k-1
-  after an MDS precheck.  The generator matrix is encoded once for the
-  backend ``linalg.field_ops`` picks (index tables for fields of order up
-  to 64, ints mod p for larger prime fields, packed ints for larger
-  single-level extensions, or polynomials over the level below for the
-  larger multi-level towers) and every certificate is eliminated in that
-  encoding.
+  after an MDS precheck, and the triples come from ``_mds3_triples``: one
+  that its weak reduction settles is counted without a certificate.  The
+  generator matrix is encoded once for the backend ``linalg.field_ops``
+  picks (index tables for fields of order up to 64, ints mod p for larger
+  prime fields, packed ints for larger single-level extensions, or
+  polynomials over the level below for the larger multi-level towers) and
+  every certificate is decided in that encoding by ``_det_nonzero``.
   ``linalg.block_mds_matrix``, the (ell k) x (ell k) block certificate, is
   the reference the tests compare it with.
 * ``is_mds3_rs_fast``: Reed-Solomon fast paths: the six-point pairing
-  determinants when k = 3, and the disjointness reduction followed by the
-  product-polynomial matrix for general k, all on the same backend.
+  determinants when k = 3, and for general k the product-polynomial matrix
+  of each open triple's disjoint reduction, all on the same backend.
 * ``lb_witness_projective``: the projective-point distinctness witness
   behind the field-size lower bound, its cross products on the backend.
 * ``exhaustive_code_search``: complete systematic enumeration at tiny
@@ -32,12 +33,11 @@ Decision paths implemented here:
   that this one stands for.  Scaling the rows and columns of X keeps the
   code MDS(3), so only the blocks whose first row and first column are
   ones are certified, one per orbit of (q-1)^(n-1) blocks; the exemplars
-  are rebuilt from them in the full sweep's order.  Minors and the same
-  span-intersection certificate as ``is_mds_ell`` (in closed form at k = 3
-  on the table backend) run through ``linalg``'s one elimination routine.
+  are rebuilt from them in the full sweep's order.  The minors, and the
+  certificate of ``is_mds_ell`` on the triples the stream leaves open,
+  go through ``_det_nonzero``.
 
-All reports carry the number of tuples examined (determinant evaluations
-or point comparisons performed) and wall time.
+All reports carry the number of tuples examined and wall time.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .errors import (
 from .fields import field_of_order, prime_power
 from .linalg import (
     MatrixF,
-    TableOps,
     det,
     eliminate,
     field_ops,
@@ -195,10 +194,126 @@ def _canonical_tuples(
             for s, cnt in groups
         ]
         for parts in itertools.product(*choices):
-            yield tuple(a for group in parts for a in group)
+            yield tuple(itertools.chain.from_iterable(parts))
+
+
+def weak_reduce(tup: SetTuple) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """Strip elements shared by two sets, lowering k by one for each;
+    returns disjoint sets and the reduced dimension.  Requires an empty
+    triple intersection."""
+    seen: set = set()
+    shared: set = set()
+    for a in tup.sets:
+        shared.update(seen.intersection(a))
+        seen.update(a)
+    return tuple(tuple(x for x in a if x not in shared) for a in tup.sets), tup.k - len(shared)
+
+
+class _BitMasks(dict):
+    """Index set -> bit mask, computed on first use."""
+
+    def __missing__(self, a: Tuple[int, ...]) -> int:
+        mask = self[a] = sum(1 << x for x in a)
+        return mask
+
+
+def _filter_and_strip(sets: Sequence[Tuple[int, ...]], k: int, masks: _BitMasks):
+    """The generic-zero filter and the weak reduction of a triple in one
+    pass over the bit masks of its pairwise intersections.
+
+    None when the filter rejects the triple.  Otherwise the reduced
+    dimension k2 of ``weak_reduce`` (once the filter passes, the triple
+    intersection is empty, so each shared element lies in exactly two sets
+    and lowers k by one) and its disjoint sets, or None in place of the sets
+    when the triple is settled: k2 <= 0, or a reduced set has k2 or more
+    columns.  In an MDS code a settled triple's spans meet only in zero:
+
+    Let S be the shared columns, the union of the disjoint S_ij = A_i & A_j.
+    The filter gives |S_12| + |A_3| <= k, and A_3 holds S_13 and S_23, so
+    S | A_3 (likewise S | A_1, S | A_2) has at most k columns and is
+    independent.  So V_i = span(A_i) meets span(S) in span(A_i & S), and
+    A_i - S stays independent in F^k / span(S), of dimension k2.  If the
+    reduced spans meet only in zero there, every v in V_1 & V_2 & V_3 lies
+    in span(S_12 | S_13) & span(S_12 | S_23) & span(S_13 | S_23), zero as S
+    is independent and no column is in all three unions.  They do when
+    k2 <= 0, and when a reduced set has k2 columns or more: the reduced
+    sizes sum to 2 k2, so the other two have at most k2, and with S they
+    make up the union of their A's, at most k columns, independent.  At
+    k = 3 this settles every triple with a shared column, so only pairwise
+    disjoint triples need a determinant.
+    """
+    a1, a2, a3 = sets
+    m1, m2, m3 = masks[a1], masks[a2], masks[a3]
+    i12, i13, i23 = m1 & m2, m1 & m3, m2 & m3
+    if i12 & m3:
+        return None
+    c12, c13, c23 = i12.bit_count(), i13.bit_count(), i23.bit_count()
+    if c12 + len(a3) > k or c13 + len(a2) > k or c23 + len(a1) > k:
+        return None
+    k2 = k - c12 - c13 - c23
+    if (
+        k2 <= 0
+        or len(a1) - c12 - c13 >= k2
+        or len(a2) - c12 - c23 >= k2
+        or len(a3) - c13 - c23 >= k2
+    ):
+        return k2, None
+    shared = i12 | i13 | i23
+    return k2, tuple(tuple(x for x in a if not shared >> x & 1) for a in sets)
+
+
+def _mds3_triples(n: int, k: int):
+    """Each canonical triple of sizes up to k-1 that the generic-zero filter
+    keeps, as (sets, (k2, reduced)) with its ``_filter_and_strip`` outcome
+    (reduced None when settled); every MDS(3) triple loop reads it."""
+    masks = _BitMasks()
+    for sets in _canonical_tuples(n, k, 3, k - 1):
+        got = _filter_and_strip(sets, k, masks)
+        if got is not None:
+            yield sets, got
 
 
 # -- the definitional span-intersection check ----------------------------------------
+
+
+def _det_nonzero(ops, rows: list) -> bool:
+    """Whether a square matrix in the backend's encoding is nonsingular:
+    closed forms up to order 3, elimination from order 4 on."""
+    m = len(rows)
+    if m <= 1:
+        return m == 0 or bool(rows[0][0])
+    mul = ops.mul
+    if m == 2:
+        (a, b), (c, d) = rows
+        return mul(a, d) != mul(b, c)
+    if m == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        one = ops.one
+        u = ops.sub_multiple(
+            [mul(e, i), mul(f, g), mul(d, h)], [mul(f, h), mul(d, i), mul(e, g)], one, 0
+        )
+        # the determinant a u0 + b u1 + c u2 vanishes when a u0 + b u1 = -c u2
+        lhs = ops.sub_multiple([mul(a, u[0])], [mul(b, u[1])], ops.neg(one), 0)[0]
+        return lhs != mul(ops.neg(c), u[2])
+    return bool(eliminate(rows, ops, reduced=False)[1])
+
+
+class _Normals(dict):
+    """Index set -> its normal vectors (the kernel of its columns taken as
+    rows), computed on first use, for a k x n MDS matrix given by its
+    columns in the backend's encoding."""
+
+    def __init__(self, cols, k: int, ops):
+        self.cols, self.k, self.ops = cols, k, ops
+
+    def __missing__(self, a: Tuple[int, ...]) -> list:
+        got = self[a] = null_basis([self.cols[j] for j in a], self.k, self.ops)
+        return got
+
+    def meet(self, sets: Sequence[Tuple[int, ...]]) -> bool:
+        # the sizes sum to (ell - 1) k, so the sets give k normals in all,
+        # and their spans meet beyond zero exactly when the stack is singular
+        return not _det_nonzero(self.ops, [v for a in sets for v in self[a]])
 
 
 def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
@@ -207,11 +322,11 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
     Order of work: MDS precheck first (MDS(ell) implies MDS, and the
     certificate below assumes it), then canonical tuple enumeration with the
     generic-zero filter, each surviving tuple decided by the stacked-normals
-    certificate of ``_first_intersecting``.  For ell = 3 only sizes up to
-    k-1 need checking once the code is MDS; size-k sets span everything and
-    larger tuples reduce to fewer sets.  ``linalg.block_mds_matrix`` is the
-    reference: its (ell k) x (ell k) determinant vanishes on exactly the
-    same tuples.
+    certificate of ``_Normals.meet``.  For ell = 3 only sizes up to k-1 need
+    checking once the code is MDS; size-k sets span everything and larger
+    tuples reduce to fewer sets.  A triple ``_mds3_triples`` settles never
+    meets, so it is counted without a certificate.  The reference is
+    ``linalg.block_mds_matrix``, singular on exactly the same tuples.
     """
     t0 = time.perf_counter()
     if ell < 1:
@@ -222,71 +337,35 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
         return _report(prop, False, base.tuples, t0, base.witness)
     if ell <= 2:
         return _report(prop, True, base.tuples, t0)
-    k = code.k
-    cap = k - 1 if ell == 3 else k
+    n, k = code.n, code.k
     g = generator_matrix(code)
     ops = field_ops(code.field)
-    cols = [[ops.encode(a) for a in g.col(j)] for j in range(code.n)]
-    tuples = (
-        sets
-        for sets in _canonical_tuples(code.n, k, ell, cap)
-        if _generically_zero(sets, k)
-    )
-    count, sets = _first_intersecting(cols, k, tuples, ops)
-    if sets is not None:
-        return _report(prop, False, count, t0, SetTuple(sets, code.n, k))
+    normals = _Normals([[ops.encode(a) for a in g.col(j)] for j in range(n)], k, ops)
+    if ell == 3:
+        tuples = ((sets, reduced is not None) for sets, (_, reduced) in _mds3_triples(n, k))
+    else:
+        tuples = (
+            (sets, True)
+            for sets in _canonical_tuples(n, k, ell, k)
+            if _generically_zero(sets, k)
+        )
+    count = 0
+    for count, (sets, open_) in enumerate(tuples, 1):
+        if open_ and normals.meet(sets):
+            return _report(prop, False, count, t0, SetTuple(sets, n, k))
     return _report(prop, True, count, t0)
 
 
 def _first_intersecting(cols, k, tuples, ops) -> Tuple[int, Optional[tuple]]:
     """The first tuple whose column spans meet beyond zero, and how many
-    tuples were examined up to it (all of them, and None, when none does).
-
-    The columns of a k x n MDS matrix are given in the backend's encoding.
-    A set's normal vectors are the kernel of its columns taken as rows,
-    cached per set.  The sizes of a tuple's sets sum to (ell - 1) k, so they
-    give k normals in all, and the spans meet exactly when that k x k stack
-    is singular.  At k = 3 on the table backend a pair's normal is its cross
-    product and the stack's determinant has a closed form.
-    """
-    closed = k == 3 and isinstance(ops, TableOps)
-    if closed:
-        add, mul, neg = ops.add_table, ops.mul_table, ops.neg_table
-    normals: Dict[Tuple[int, ...], list] = {}
+    tuples were examined up to it (all of them, and None, when none does),
+    each certified by ``_Normals.meet`` on the columns of an MDS matrix."""
+    normals = _Normals(cols, k, ops)
     count = 0
     for count, sets in enumerate(tuples, 1):
-        stack = []
-        for a in sets:
-            got = normals.get(a)
-            if got is None:
-                if closed and len(a) == 2:
-                    got = [_int_cross(cols[a[0]], cols[a[1]], add, mul, neg)]
-                else:
-                    got = null_basis([cols[j] for j in a], k, ops)
-                normals[a] = got
-            stack += got
-        if closed:
-            if not _int_det3(stack, add, mul, neg):
-                return count, sets
-        elif not eliminate(stack, ops, reduced=False)[1]:
+        if normals.meet(sets):
             return count, sets
     return count, None
-
-
-def _int_det3(m, add, mul, neg):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    t1 = mul[a][add[mul[e][i]][neg[mul[f][h]]]]
-    t2 = mul[b][add[mul[d][i]][neg[mul[f][g]]]]
-    t3 = mul[c][add[mul[d][h]][neg[mul[e][g]]]]
-    return add[add[t1][neg[t2]]][t3]
-
-
-def _int_cross(u, v, add, mul, neg):
-    return (
-        add[mul[u[1]][v[2]]][neg[mul[u[2]][v[1]]]],
-        add[mul[u[2]][v[0]]][neg[mul[u[0]][v[2]]]],
-        add[mul[u[0]][v[1]]][neg[mul[u[1]][v[0]]]],
-    )
 
 
 # -- Reed-Solomon fast paths -----------------------------------------------------------
@@ -357,80 +436,6 @@ class _ProductMatrixContext:
         return got
 
 
-def _det_nonzero(ops, rows: list) -> bool:
-    """Whether a square matrix in the backend's encoding is nonsingular:
-    closed forms up to order 3, elimination from order 4 on."""
-    m = len(rows)
-    if m <= 1:
-        return m == 0 or bool(rows[0][0])
-    mul = ops.mul
-    if m == 2:
-        (a, b), (c, d) = rows
-        return mul(a, d) != mul(b, c)
-    if m == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        one = ops.one
-        u = ops.sub_multiple(
-            [mul(e, i), mul(f, g), mul(d, h)], [mul(f, h), mul(d, i), mul(e, g)], one, 0
-        )
-        # the determinant a u0 + b u1 + c u2 vanishes when a u0 + b u1 = -c u2
-        lhs = ops.sub_multiple([mul(a, u[0])], [mul(b, u[1])], ops.neg(one), 0)[0]
-        return lhs != mul(ops.neg(c), u[2])
-    return bool(eliminate(rows, ops, reduced=False)[1])
-
-
-def weak_reduce(tup: SetTuple) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-    """Strip elements shared by two sets, lowering k by one for each;
-    returns disjoint sets and the reduced dimension.  Requires an empty
-    triple intersection."""
-    seen: set = set()
-    shared: set = set()
-    for a in tup.sets:
-        shared.update(seen.intersection(a))
-        seen.update(a)
-    return tuple(tuple(x for x in a if x not in shared) for a in tup.sets), tup.k - len(shared)
-
-
-class _BitMasks(dict):
-    """Index set -> bit mask, computed on first use."""
-
-    def __missing__(self, a: Tuple[int, ...]) -> int:
-        mask = self[a] = sum(1 << x for x in a)
-        return mask
-
-
-def _filter_and_strip(sets: Sequence[Tuple[int, ...]], k: int, masks: _BitMasks):
-    """The generic-zero filter and the weak reduction of a triple in one
-    pass over the bit masks of its pairwise intersections.
-
-    None when the filter rejects the triple.  Otherwise the reduced
-    dimension k2 of ``weak_reduce`` (once the filter passes, the triple
-    intersection is empty, so each shared element lies in exactly two sets
-    and lowers k by one) and its disjoint sets, or None in place of the sets
-    when they need no certificate: k2 <= 0, or a set of k2 or more columns
-    spans the whole reduced space, and the rest has at most k2 columns,
-    independent because the code is MDS.
-    """
-    a1, a2, a3 = sets
-    m1, m2, m3 = masks[a1], masks[a2], masks[a3]
-    i12, i13, i23 = m1 & m2, m1 & m3, m2 & m3
-    if i12 & m3:
-        return None
-    c12, c13, c23 = i12.bit_count(), i13.bit_count(), i23.bit_count()
-    if c12 + len(a3) > k or c13 + len(a2) > k or c23 + len(a1) > k:
-        return None
-    k2 = k - c12 - c13 - c23
-    if (
-        k2 <= 0
-        or len(a1) - c12 - c13 >= k2
-        or len(a2) - c12 - c23 >= k2
-        or len(a3) - c13 - c23 >= k2
-    ):
-        return k2, None
-    shared = i12 | i13 | i23
-    return k2, tuple(tuple(x for x in a if not shared >> x & 1) for a in sets)
-
-
 def _product_matrix_det_nonzero(
     ctx: _ProductMatrixContext, sets: Sequence[Tuple[int, ...]], k: int
 ) -> bool:
@@ -459,9 +464,8 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
     pair's generators, must be nonsingular; its determinant is
     (s2 - s1)(p3 - p1) - (s3 - s1)(p2 - p1), with sums, products and
     differences computed once per code.
-    Other k: canonical tuples of sizes <= k-1 pass the generic-zero filter,
-    are made disjoint by the stripping reduction, and are certified by the
-    product-polynomial determinant.
+    Other k: the triples of ``_mds3_triples``, each open one's disjoint
+    reduction certified by the product-polynomial determinant.
     """
     if code.kind != "rs":
         raise WrongKindError("the fast MDS(3) path requires a Reed-Solomon code")
@@ -499,13 +503,7 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
                     )
         return _report("mds3-rs", True, count, t0)
     ctx = _ProductMatrixContext(code)
-    masks = _BitMasks()
-    for sets in _canonical_tuples(n, k, 3, k - 1):
-        got = _filter_and_strip(sets, k, masks)
-        if got is None:
-            continue
-        count += 1
-        k2, reduced = got
+    for count, (sets, (k2, reduced)) in enumerate(_mds3_triples(n, k), 1):
         if reduced is not None and not _product_matrix_det_nonzero(ctx, reduced, k2):
             return _report("mds3-rs", False, count, t0, SetTuple(sets, n, k))
     return _report("mds3-rs", True, count, t0)
@@ -610,7 +608,7 @@ def _nonsingular_blocks(k: int, w: int, values: list, ops) -> Iterator[List[tupl
             for rr in itertools.combinations(range(i), size - 1):
                 for cc in itertools.combinations(range(w), size):
                     sub = [[block[r][j] for j in cc] for r in rr + (i,)]
-                    if not eliminate(sub, ops, reduced=False)[1]:
+                    if not _det_nonzero(ops, sub):
                         return False
         return True
 
@@ -679,7 +677,8 @@ def exhaustive_code_search(
     placements with row-space deduplication would; `candidates` counts that
     sweep's space, C(n, k) * q^(k(n-k)).  The per-candidate decision is
     exact: the code must be MDS (X totally nonsingular) and every filtered
-    (k-1)-sized triple must have trivial span intersection.
+    (k-1)-sized triple must have trivial span intersection; once the code
+    is MDS, only the triples ``_mds3_triples`` leaves open need checking.
 
     Scaling the rows and columns of X by nonzero scalars keeps the code MDS
     and MDS(3), and the torus (F*)^k x (F*)^(n-k), modulo its common
@@ -707,16 +706,15 @@ def exhaustive_code_search(
     field = field_of_order(q)
     ops = field_ops(field)
     values = [ops.encode(field.from_int(v)) for v in range(1, q)]
-    tuples = [
-        sets
-        for sets in _canonical_tuples(n, k, 3, k - 1)
-        if _generically_zero(sets, k)
-    ]
+    tuples = None
     identity = [tuple(map(ops.encode, row)) for row in MatrixF.identity(field, k).rows]
     hits = set()
     blocks = 0
     for x_rows in _nonsingular_blocks(k, w, values, ops):
         blocks += 1
+        if tuples is None:
+            # the open triples, built once a block reaches the certificate
+            tuples = [sets for sets, (_, red) in _mds3_triples(n, k) if red is not None]
         cols = identity + [tuple(row[j] for row in x_rows) for j in range(w)]
         if _first_intersecting(cols, k, tuples, ops)[1] is None:
             hits.add(tuple(x_rows))

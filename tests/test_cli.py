@@ -149,6 +149,37 @@ def test_check_coefficient_outside_prime_field_exits_2(tmp_path, capsys, text):
     assert "cannot parse" in err and "outside 0.." in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(GOOD43 + "bogus line here\n", id="stray-line"),
+        pytest.param(
+            "field p=5\ncode n=3 k=1 kind=rs\ngen 1\ngen 2\ngen 3\nrow 1 2 3\n",
+            id="row-in-rs",
+        ),
+        pytest.param(
+            "field p=5\ncode n=3 k=1 kind=explicit extra=5\nrow 1 2 3\n",
+            id="unknown-header-key",
+        ),
+        # the second header used to replace the first
+        pytest.param(
+            GOOD43.replace("field p=5\n", "field p=5\ncode n=3 k=1 kind=explicit\n"),
+            id="second-header",
+        ),
+        pytest.param(
+            "field p=3\next d=2 poly=1,0,1 extra=1\n"
+            "code n=2 k=1 kind=explicit\nrow 1,0 0,1\n",
+            id="unknown-ext-key",
+        ),
+    ],
+)
+def test_check_malformed_code_file_exits_2(tmp_path, capsys, text):
+    path = _write(tmp_path, "malformed.txt", text)
+    rc = cli.main(["check", path, "--property", "mds"])
+    assert rc == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
 def test_check_mr_requires_m(tmp_path, capsys):
     path = _write(tmp_path, "bad.txt", BAD42)
     rc = cli.main(["check", path, "--property", "mr"])

@@ -44,6 +44,7 @@ from mdskit.linalg import (
     rref,
     subspace_intersection_dim,
 )
+from mdskit import mdscheck
 from mdskit.mdscheck import (
     CheckReport,
     _BitMasks,
@@ -51,6 +52,7 @@ from mdskit.mdscheck import (
     _det_nonzero,
     _filter_and_strip,
     _first_intersecting,
+    _mds3_triples,
     _nonsingular_blocks,
     _pairings_of_six,
     exhaustive_code_search,
@@ -68,6 +70,9 @@ F13 = field_make(13)
 F9 = field_make(3, [2])
 F81 = field_of_order(81)
 F729 = field_make(3, [2, 3])  # a (2, 3) tower: the level backend
+F16 = field_of_order(16)
+F67 = field_make(67)
+F243 = field_of_order(243)
 
 
 def rs(field, points, k):
@@ -333,6 +338,70 @@ def test_is_mds_ell_matches_per_tuple_reference(q):
             code = explicit_code(field, m)
             rep = is_mds_ell(code, ell)
             assert (rep.ok, rep.tuples, rep.witness) == _is_mds_ell_reference(code, ell)
+
+
+def _random_mds_code(field, k, n, rng, planted=False):
+    """A random explicit MDS code; planted (k = 3, n >= 6) makes the
+    column pairs (0, 1), (2, 3) and (4, 5) span planes through one vector,
+    so that disjoint triple meets and the code fails MDS(3) at it or
+    earlier."""
+    rand = lambda: field.from_int(rng.randrange(field.order))
+    while True:
+        cols = [[rand() for _ in range(k)] for _ in range(n)]
+        if planted:
+            v = [rand() for _ in range(k)]
+            for j in (1, 3, 5):
+                c = rand()
+                cols[j] = [a + c * b for a, b in zip(v, cols[j - 1])]
+        m = MatrixF(field, [[col[i] for col in cols] for i in range(k)])
+        if rank(m) == k:
+            code = explicit_code(field, m)
+            if is_mds(code).ok:
+                return code
+
+
+@pytest.mark.parametrize("q", [16, 67, 243, 729])
+def test_is_mds_ell_skips_only_settled_triples(q):
+    """Random explicit [6, 3] and [7, 3] MDS codes, not Reed-Solomon, on
+    index tables (GF(16)), ints mod p (GF(67)), packed ints (GF(243)) and
+    the level backend (the (2, 3) tower GF(3^6)).  is_mds_ell(., 3)
+    counts every filtered triple but certifies only those _filter_and_strip
+    leaves open; its verdict, count and witness must equal the reference,
+    which certifies every triple.  The planted [7, 3] code fails at a
+    disjoint triple that comes after settled ones, so skipped triples are
+    counted before the witness.  k >= 4 is compared on Reed-Solomon codes
+    in test_rs3_fast_path_matches_engine_and_block_reference."""
+    field = {16: F16, 67: F67, 243: F243, 729: F729}[q]
+    rng = random.Random(q)
+    late = 0
+    for k, n, planted in [(3, 6, False), (3, 6, False), (3, 7, True)]:
+        code = _random_mds_code(field, k, n, rng, planted)
+        rep = is_mds_ell(code, 3)
+        assert (rep.ok, rep.tuples, rep.witness) == _is_mds_ell_reference(code, 3)
+        if not rep.ok:
+            before = itertools.islice(_mds3_triples(n, k), rep.tuples - 1)
+            late += any(reduced is None for _, (_, reduced) in before)
+    assert late
+
+
+def test_settled_triples_never_meet_on_random_mds_codes():
+    """The lemma in _filter_and_strip's docstring: in an MDS code the
+    column spans of every triple it settles meet only in zero, whether or
+    not the code is MDS(3).  Most of these codes over GF(67) fail MDS(3),
+    so other triples do meet.  Each code checks a sample of 300 of its
+    settled triples (there are 380 at [6, 3] and 73,360 at [8, 5])."""
+    rng = random.Random(5)
+    failing = 0
+    for k, n in [(3, 6), (3, 7), (4, 7), (4, 8), (5, 8)]:
+        settled = [sets for sets, (_, red) in _mds3_triples(n, k) if red is None]
+        for _ in range(2):
+            code = _random_mds_code(F67, k, n, rng)
+            g = generator_matrix(code)
+            for sets in rng.sample(settled, 300):
+                spans = [g.submatrix(range(k), a) for a in sets]
+                assert subspace_intersection_dim(spans) == 0, sets
+            failing += not is_mds_ell(code, 3).ok
+    assert failing
 
 
 # -- report formatting ------------------------------------------------------------
@@ -998,13 +1067,12 @@ def _first_singular_block(cols, field, tuples):
     return len(tuples), None
 
 
-def test_k3_closed_form_rejections_match_generic_path_and_block_reference():
+def test_k3_table_rejections_match_field_elements_and_block_reference():
     """At (6, 3, 4) all 486 MDS blocks of the unnormalized sweep fail
-    MDS(3).  The
-    certificate takes its k = 3 closed form on the table backend and must
-    reject every block; on a seeded sample the generic path (the same
-    function on FieldElements) and the per-tuple block matrix must return
-    the same count and first failing tuple."""
+    MDS(3).  The certificate on the table backend must reject every block;
+    on a seeded sample the same function on FieldElements and the
+    per-tuple block matrix must return the same count and first failing
+    tuple."""
     n, k = 6, 3
     F4 = field_of_order(4)
     table = TableOps(F4)
@@ -1121,6 +1189,20 @@ def test_search_count_is_invariant_under_duality(n, k, q):
     [n, k] and [n, n-k] codes over GF(q) are equally many."""
     dual = exhaustive_code_search(n, n - k, q)
     assert exhaustive_code_search(n, k, q).count == dual.count
+
+
+def test_search_builds_no_triple_list_without_a_normalized_block(monkeypatch):
+    # the list of open triples is enumerated when the first block reaches
+    # the certificate, so (6, 4, 4), with no normalized block, never builds it
+    calls = []
+    real = mdscheck._canonical_tuples
+    monkeypatch.setattr(
+        mdscheck, "_canonical_tuples", lambda *args: calls.append(args) or real(*args)
+    )
+    assert exhaustive_code_search(6, 4, 4).blocks == 0
+    assert calls == []
+    assert exhaustive_code_search(5, 3, 5).blocks == 6
+    assert calls == [(5, 3, 3, 2)]
 
 
 def test_search_reports_normalized_blocks_certified():
