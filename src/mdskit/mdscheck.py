@@ -22,7 +22,8 @@ Decision paths implemented here:
   the reference the tests compare it with.
 * ``is_mds3_rs_fast``: Reed-Solomon fast paths: the six-point pairing
   determinants when k = 3, and for general k the product-polynomial matrix
-  of each open triple's disjoint reduction, all on the same backend.
+  of each distinct open reduction, all on the same backend; when every one
+  passes, the triple count comes in closed form and no triple is walked.
 * ``lb_witness_projective``: the projective-point distinctness witness
   behind the field-size lower bound, its cross products on the backend.
 * ``exhaustive_code_search``: complete systematic enumeration at tiny
@@ -70,7 +71,7 @@ from .linalg import (
     rank,
     rref,
 )
-from math import comb
+from math import comb, factorial, prod
 
 __all__ = [
     "CheckReport",
@@ -91,6 +92,9 @@ class CheckReport:
     time_ms: int
     witness: Optional[SetTuple] = None
     detail: Optional[str] = None
+    # certificates computed (determinants, not tuples); set by is_mds_ell
+    # and is_mds3_rs_fast, None elsewhere, and never printed
+    evaluated: Optional[int] = None
 
     @property
     def verdict(self) -> str:
@@ -106,10 +110,11 @@ class CheckReport:
         return line
 
 
-def _report(prop, ok, tuples, t0, witness=None, detail=None) -> CheckReport:
-    return CheckReport(
-        prop, ok, tuples, int((time.perf_counter() - t0) * 1000), witness, detail
-    )
+def _report(
+    prop, ok, tuples, t0, witness=None, detail=None, evaluated=None
+) -> CheckReport:
+    ms = int((time.perf_counter() - t0) * 1000)
+    return CheckReport(prop, ok, tuples, ms, witness, detail, evaluated)
 
 
 # -- MDS ------------------------------------------------------------------------
@@ -273,6 +278,51 @@ def _mds3_triples(n: int, k: int):
             yield sets, got
 
 
+def _mds3_count(n: int, k: int) -> int:
+    """How many triples ``_mds3_triples(n, k)`` yields, in closed form: per
+    size profile, the sum over the filter's pairwise intersection sizes of
+    n! / (c12! c13! c23! r1! r2! r3! rest!), r_i the columns in set i
+    alone, divided by the orders of equal sizes (why this is exact is in
+    ``is_mds3_rs_fast``)."""
+    total = 0
+    for s1, s2, s3 in _nondecreasing_profiles(2 * k, 3, min(k - 1, n)):
+        ordered = 0
+        for c12 in range(k - s3 + 1):
+            for c13 in range(k - s2 + 1):
+                for c23 in range(k - s1 + 1):
+                    cells = [
+                        c12, c13, c23, s1 - c12 - c13, s2 - c12 - c23, s3 - c13 - c23
+                    ]
+                    cells.append(n - sum(cells))
+                    if min(cells) >= 0:
+                        ordered += factorial(n) // prod(map(factorial, cells))
+        total += ordered // {1: 6, 2: 2, 3: 1}[len({s1, s2, s3})]
+    return total
+
+
+def _mds3_configs(n: int, k: int):
+    """Each distinct open outcome (k2, reduced) of ``_mds3_triples(n, k)``
+    once, the reduced sets ordered by size and equal sizes by first column.
+
+    Open means disjoint sets of sizes below k2 that sum to 2 k2, so k2 >= 3,
+    and with the k - k2 shared columns a triple uses k + k2 <= n columns.
+    Every such disjoint triple is an open outcome: place the shared
+    columns outside it, split any way among the three pairs.  Set i then
+    has at most (k2 - 1) + (k - k2) = k - 1 columns, no column lies in all
+    three, and the filter's c_ij + |A_l| <= k reads (k - k2) + |R_l| <= k.
+    """
+    for k2 in range(3, min(k, n - k) + 1):
+        for r1, r2, r3 in _nondecreasing_profiles(2 * k2, 3, k2 - 1):
+            for a in itertools.combinations(range(n), r1):
+                pool = [x for x in range(n) if x not in a]
+                bs = [x for x in pool if r2 > r1 or x > a[0]]
+                for b in itertools.combinations(bs, r2):
+                    rest = [x for x in pool if x not in b]
+                    cs = [x for x in rest if r3 > r2 or x > b[0]]
+                    for c in itertools.combinations(cs, r3):
+                        yield k2, (a, b, c)
+
+
 # -- the definitional span-intersection check ----------------------------------------
 
 
@@ -334,9 +384,9 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
     prop = f"mds{ell}"
     base = is_mds(code)
     if not base.ok:
-        return _report(prop, False, base.tuples, t0, base.witness)
+        return _report(prop, False, base.tuples, t0, base.witness, evaluated=0)
     if ell <= 2:
-        return _report(prop, True, base.tuples, t0)
+        return _report(prop, True, base.tuples, t0, evaluated=0)
     n, k = code.n, code.k
     g = generator_matrix(code)
     ops = field_ops(code.field)
@@ -349,11 +399,14 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
             for sets in _canonical_tuples(n, k, ell, k)
             if _generically_zero(sets, k)
         )
-    count = 0
+    count = evaluated = 0
     for count, (sets, open_) in enumerate(tuples, 1):
-        if open_ and normals.meet(sets):
-            return _report(prop, False, count, t0, SetTuple(sets, n, k))
-    return _report(prop, True, count, t0)
+        if open_:
+            evaluated += 1
+            if normals.meet(sets):
+                witness = SetTuple(sets, n, k)
+                return _report(prop, False, count, t0, witness, evaluated=evaluated)
+    return _report(prop, True, count, t0, evaluated=evaluated)
 
 
 def _first_intersecting(cols, k, tuples, ops) -> Tuple[int, Optional[tuple]]:
@@ -384,55 +437,29 @@ def _pairings_of_six(items: Sequence[int]) -> Iterator[Tuple[Tuple[int, int], ..
 
 
 class _ProductMatrixContext:
-    """Cached elementary-symmetric products for one Reed-Solomon code, in
-    the encoding of the backend ``field_ops`` picks for its field."""
+    """Cached product-matrix entries for one Reed-Solomon code, in the
+    encoding of the backend ``field_ops`` picks for its field."""
 
     def __init__(self, code: CodeSpec):
         assert code.generators is not None
         self.ops = ops = field_ops(code.field)
-        self.gens = code.generators
-        self._enc = [ops.encode(g) for g in self.gens]
-        self._diff: Dict[Tuple[int, int], object] = {}
-        self._pi: Dict[Tuple[frozenset, int], object] = {}
-        self._col: Dict[Tuple[frozenset, int, int], object] = {}
-        self._pow: Dict[Tuple[int, int], object] = {}
+        self._enc = [ops.encode(g) for g in code.generators]
+        self._entries: Dict[tuple, object] = {}
 
-    def diff(self, a: int, b: int):
-        # generator a minus generator b
-        key = (a, b)
-        got = self._diff.get(key)
-        if got is None:
-            got = self._diff[key] = self.ops.encode(self.gens[a] - self.gens[b])
-        return got
-
-    def power(self, a: int, t: int):
-        key = (a, t)
-        got = self._pow.get(key)
-        if got is None:
-            if t == 0:
-                got = self.ops.one
-            else:
-                got = self.ops.mul(self.power(a, t - 1), self._enc[a])
-            self._pow[key] = got
-        return got
-
-    def pi(self, subset: frozenset, a: int):
-        # product of (gen_a - gen_x) over x in subset
-        key = (subset, a)
-        got = self._pi.get(key)
-        if got is None:
-            got = self.ops.one
-            for x in subset:
-                got = self.ops.mul(got, self.diff(a, x))
-            self._pi[key] = got
-        return got
-
-    def column_entry(self, subset: frozenset, a: int, t: int):
+    def column_entry(self, subset: Tuple[int, ...], a: int, t: int):
+        # g_a^t times the product of (g_a - g_x) over x in subset
         key = (subset, a, t)
-        got = self._col.get(key)
+        got = self._entries.get(key)
         if got is None:
-            got = self.ops.mul(self.pi(subset, a), self.power(a, t))
-            self._col[key] = got
+            ops, ga = self.ops, self._enc[a]
+            if t:
+                got = ops.mul(self.column_entry(subset, a, t - 1), ga)
+            else:
+                got = ops.one
+                for x in subset:
+                    diff = ops.sub_multiple([ga], [self._enc[x]], ops.one, 0)[0]
+                    got = ops.mul(got, diff)
+            self._entries[key] = got
         return got
 
 
@@ -441,18 +468,11 @@ def _product_matrix_det_nonzero(
 ) -> bool:
     """The product-polynomial certificate for a disjoint tuple over an RS
     code of dimension k: nonzero determinant means trivial intersection."""
-    order = sorted(range(len(sets)), key=lambda i: len(sets[i]))
-    row_set = sets[order[0]]
-    others = [sets[i] for i in order[1:]]
-    rows = []
-    for a in row_set:
-        row = []
-        for subset in others:
-            delta = k - len(subset)
-            fs = frozenset(subset)
-            for t in range(delta):
-                row.append(ctx.column_entry(fs, a, t))
-        rows.append(row)
+    row_set, *others = sorted(sets, key=len)
+    rows = [
+        [ctx.column_entry(b, a, t) for b in others for t in range(k - len(b))]
+        for a in row_set
+    ]
     return _det_nonzero(ctx.ops, rows)
 
 
@@ -464,8 +484,35 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
     pair's generators, must be nonsingular; its determinant is
     (s2 - s1)(p3 - p1) - (s3 - s1)(p2 - p1), with sums, products and
     differences computed once per code.
-    Other k: the triples of ``_mds3_triples``, each open one's disjoint
-    reduction certified by the product-polynomial determinant.
+    Other k: the verdict, count and witness of the triples of
+    ``_mds3_triples``, each open one decided by the product-polynomial
+    determinant of its disjoint reduction, without walking them when all
+    pass:
+
+    * A certificate depends only on (k2, reduced).  Let S be the stripped
+      columns and P the product of (x - g_s) over s in S.  Dual to
+      F^k / span(S) are the polynomials of degree < k vanishing on S, P
+      times those of degree < k2, and on them column j acts as P(g_j) times
+      column j of the [n, k2] code on the same generators, with P(g_j) != 0
+      off S.  So the reduced spans are those of that code, whatever S is,
+      and the determinant decides whether they meet, which does not depend
+      on the order of the sets.  ``_mds3_configs`` lists each open
+      (k2, reduced) once, and each is certified once.
+    * If all pass, so does every triple, and ``_mds3_count`` gives their
+      number: a kept triple has an empty triple intersection, so it puts
+      each column in one of seven cells (in exactly two sets, one set or
+      none), the filter reads only the cell sizes, and the triples with
+      given cell sizes number the multinomial n! / (cells!).  The stream
+      lists each unordered triple once, sizes nondecreasing, so the ordered
+      sum over a size profile is divided by the 2 or 6 orders of its equal
+      sizes; all are distinct, as a kept triple never repeats a set
+      (A_i = A_j has c_ij = s_i, and c_ij + s_l <= k with s_l = 2k - 2 s_i
+      would need s_i >= k).
+    * If one fails, the stream is walked with the verdicts memoized, so the
+      first failing triple, its position and witness are the plain sweep's.
+
+    ``evaluated`` counts determinants: pairings at k = 3, configurations
+    otherwise.
     """
     if code.kind != "rs":
         raise WrongKindError("the fast MDS(3) path requires a Reed-Solomon code")
@@ -498,15 +545,26 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
                 ds2, dp2 = delta(i, index[pairing[1]])
                 ds3, dp3 = delta(i, index[pairing[2]])
                 if mul(ds2, dp3) == mul(ds3, dp2):
-                    return _report(
-                        "mds3-rs", False, count, t0, SetTuple(pairing, n, k)
-                    )
-        return _report("mds3-rs", True, count, t0)
+                    witness = SetTuple(pairing, n, k)
+                    return _report("mds3-rs", False, count, t0, witness, evaluated=count)
+        return _report("mds3-rs", True, count, t0, evaluated=count)
     ctx = _ProductMatrixContext(code)
+    verdicts: Dict[tuple, bool] = {}
+
+    def verdict(k2, reduced) -> bool:
+        key = (k2, frozenset(reduced))
+        if key not in verdicts:
+            verdicts[key] = _product_matrix_det_nonzero(ctx, reduced, k2)
+        return verdicts[key]
+
+    if all(verdict(k2, reduced) for k2, reduced in _mds3_configs(n, k)):
+        count = _mds3_count(n, k)
+        return _report("mds3-rs", True, count, t0, evaluated=len(verdicts))
     for count, (sets, (k2, reduced)) in enumerate(_mds3_triples(n, k), 1):
-        if reduced is not None and not _product_matrix_det_nonzero(ctx, reduced, k2):
-            return _report("mds3-rs", False, count, t0, SetTuple(sets, n, k))
-    return _report("mds3-rs", True, count, t0)
+        if reduced is not None and not verdict(k2, reduced):
+            witness = SetTuple(sets, n, k)
+            return _report("mds3-rs", False, count, t0, witness, evaluated=len(verdicts))
+    raise AssertionError("every open configuration is some triple's reduction")
 
 
 # -- the projective lower-bound witness ---------------------------------------------

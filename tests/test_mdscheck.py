@@ -14,6 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdskit.constructions import build_k4, build_k5_weak
 from mdskit.codes import (
     GENERIC_ORACLE_PRIME,
     CodeSpec,
@@ -52,9 +53,13 @@ from mdskit.mdscheck import (
     _det_nonzero,
     _filter_and_strip,
     _first_intersecting,
+    _mds3_configs,
+    _mds3_count,
     _mds3_triples,
     _nonsingular_blocks,
     _pairings_of_six,
+    _ProductMatrixContext,
+    _product_matrix_det_nonzero,
     exhaustive_code_search,
     is_mds,
     is_mds3_rs_fast,
@@ -621,6 +626,79 @@ def test_product_matrix_certificate_per_tuple_k4():
             assert got == want
 
 
+def _canonical_config(k2, reduced):
+    # the order _mds3_configs yields: by size, equal sizes by first column
+    return k2, tuple(sorted(reduced, key=lambda a: (len(a), a)))
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in range(3, 9) for k in range(3, n + 1)] + [(9, 4)]
+)
+def test_mds3_count_and_configs_match_the_stream(n, k):
+    """_mds3_count is the number of triples the stream yields, and
+    _mds3_configs lists each (k2, reduced) the stream leaves open exactly
+    once, in canonical order."""
+    stream = list(_mds3_triples(n, k))
+    assert _mds3_count(n, k) == len(stream)
+    configs = list(_mds3_configs(n, k))
+    assert len(set(configs)) == len(configs)
+    opened = {_canonical_config(k2, red) for _, (k2, red) in stream if red is not None}
+    assert set(configs) == opened
+
+
+# (q, k, points, verdict): Reed-Solomon codes of length 8 over GF(9) and
+# GF(13) (index tables) and GF(81) (packed ints); no [8, 4] or [8, 5] code
+# over GF(9) or GF(13) passes
+MEMO_CODES = [
+    (9, 4, [2, 1, 5, 3, 8, 7, 0, 6], False),
+    (9, 5, [7, 2, 3, 8, 6, 5, 0, 1], False),
+    (13, 4, [11, 1, 5, 8, 2, 3, 12, 6], False),
+    (13, 5, [3, 11, 5, 9, 8, 12, 6, 10], False),
+    (81, 4, [59, 55, 49, 10, 50, 77, 66, 41], True),
+    (81, 4, [63, 27, 38, 33, 0, 43, 51, 28], False),
+    (81, 5, [18, 63, 7, 13, 48, 56, 40, 0], True),
+    (81, 5, [51, 68, 44, 75, 73, 67, 34, 74], False),
+]
+
+
+@pytest.mark.parametrize("q,k,points,verdict", MEMO_CODES)
+def test_product_matrix_verdict_is_one_per_configuration(q, k, points, verdict):
+    """is_mds3_rs_fast certifies each configuration once, in canonical
+    order, and reuses that verdict for every open triple reducing to it.
+    So every open triple's product-matrix verdict, in the order the stream
+    gives its reduced sets, must equal its configuration's; more than half
+    of them come in another order."""
+    code = rs({9: F9, 13: F13, 81: F81}[q], points, k)
+    assert is_mds3_rs_fast(code).ok == verdict
+    ctx = _ProductMatrixContext(code)
+    want = {}
+    reordered = opened = 0
+    for _, (k2, reduced) in _mds3_triples(8, k):
+        if reduced is None:
+            continue
+        key = _canonical_config(k2, reduced)
+        if key not in want:
+            want[key] = _product_matrix_det_nonzero(ctx, key[1], k2)
+        assert _product_matrix_det_nonzero(ctx, reduced, k2) == want[key], reduced
+        opened += 1
+        reordered += key[1] != reduced
+    assert 2 * reordered > opened
+    assert all(want.values()) == verdict
+
+
+def test_rs_fast_path_certifies_each_configuration_once():
+    """CheckReport.evaluated counts certificates, not tuples: k4-general
+    n = 8 leaves 2,800 of its 28,420 triples open, in 700 configurations;
+    k5-weak n = 7 leaves none open; is_mds_ell(., 3) on a passing [7, 3]
+    code certifies its 105 pairwise disjoint triples of 1,190."""
+    rep = is_mds3_rs_fast(build_k4(8).code)
+    assert (rep.ok, rep.tuples, rep.evaluated) == (True, 28420, 700)
+    rep = is_mds3_rs_fast(build_k5_weak(7).code)
+    assert (rep.ok, rep.tuples, rep.evaluated) == (True, 11025, 0)
+    rep = is_mds_ell(rs(field_make(31), [11, 14, 16, 18, 21, 23, 29], 3), 3)
+    assert (rep.ok, rep.tuples, rep.evaluated) == (True, 1190, 105)
+
+
 def _rs3_block_reference(code):
     """is_mds3_rs_fast's (ok, tuples, witness) with every tuple decided by
     eliminating its block_mds_matrix: at k = 3 the perfect pairings of each
@@ -666,17 +744,22 @@ RS3_CODES = [
     (729, 3, [542, 454, 396, 404, 138, 118, 286], False),
     (729, 4, [308, 538, 66, 409, 609], True),
     (729, 5, [65, 181, 253, 205, 508], True),
+    # the first configuration to fail has k2 = 3, but the stream meets a
+    # failing k2 = 4 configuration first, after configurations that passed
+    (13, 4, [11, 12, 3, 2, 1, 6, 7, 10], False),
+    (13, 4, [0, 10, 5, 8, 9, 12, 7, 2], False),
 ]
 
 
 @pytest.mark.parametrize("q,k,points,verdict", RS3_CODES)
 def test_rs3_fast_path_matches_engine_and_block_reference(q, k, points, verdict):
-    """Reed-Solomon codes over GF(9) (index tables), GF(81) (packed ints)
-    and the (2, 3) tower GF(3^6) (the level backend): the fast path's verdict,
-    tuple count and witness equal the per-tuple block reference, and its
-    verdict equals is_mds_ell's; away from k = 3 both enumerate the same
-    filtered tuples, so the count and witness equal is_mds_ell's too."""
-    code = rs({9: F9, 81: F81, 729: F729}[q], points, k)
+    """Reed-Solomon codes over GF(9) and GF(13) (index tables), GF(81)
+    (packed ints) and the (2, 3) tower GF(3^6) (the level backend): the
+    fast path's verdict, tuple count and witness equal the per-tuple block
+    reference, and its verdict equals is_mds_ell's; away from k = 3 both
+    enumerate the same filtered tuples, so the count and witness equal
+    is_mds_ell's too."""
+    code = rs({9: F9, 13: F13, 81: F81, 729: F729}[q], points, k)
     fast = is_mds3_rs_fast(code)
     got = (fast.ok, fast.tuples, fast.witness)
     assert fast.ok == verdict
