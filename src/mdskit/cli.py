@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--ell", type=int, default=3, help="order for --property mdsell")
     p.add_argument("--m", type=int, default=None, help="tensor column length for mr")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=10**6, help="read by --property mr only")
     p.add_argument("--trials", type=int, default=5, help="generic-oracle trials for mr")
     p.set_defaults(func=_cmd_check)
 

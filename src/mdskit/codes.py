@@ -353,6 +353,8 @@ def parse_code(text: str) -> Tuple[CodeSpec, Dict[str, str]]:
     f = parse_field("\n".join(field_lines))
     parts = _key_values(header, ("n", "k", "kind"))
     n, k, kind = int(parts["n"]), int(parts["k"]), parts["kind"]
+    if n < 0 or k < 0:
+        raise SizeConstraintError(f"need n >= 0 and k >= 0, got n={n} k={k}")
     word = {"rs": "gen", "explicit": "row"}.get(kind)
     if word is None:
         raise WrongKindError(f"unknown code kind {kind!r}")

@@ -1,23 +1,21 @@
 """The verification engine for higher-order MDS properties.
 
-Decision paths implemented here:
+Every decision runs in the encoding of the backend ``linalg.field_ops``
+picks for the field, on the generator matrix's columns (or a Reed-Solomon
+code's generators) encoded once.  Decision paths implemented here:
 
-* ``is_mds``: every k x k minor of the generator matrix nonzero; for
-  Reed-Solomon codes each minor is the Vandermonde product of generator
-  differences, which vanishes exactly when two generators coincide, so no
-  field arithmetic is needed.
+* ``is_mds``: every k x k minor of the generator matrix nonzero, each
+  decided on its columns by ``_det_nonzero``; for Reed-Solomon codes a
+  minor is the Vandermonde product of generator differences, so it
+  vanishes exactly when two generators coincide.
 * ``is_mds_ell``: the definitional check; enumerates canonical set tuples
   (unordered, since the test is symmetric), filters by the generic-zero
   predicate, and decides each by the span-intersection certificate: the
   k x k stack of the sets' normal vectors, cached per set, must be
   nonsingular.  For three sets the enumeration is reduced to sizes <= k-1
   after an MDS precheck, and the triples come from ``_mds3_triples``: one
-  that its weak reduction settles is counted without a certificate.  The
-  generator matrix is encoded once for the backend ``linalg.field_ops``
-  picks (index tables for fields of order up to 64, ints mod p for larger
-  prime fields, packed ints for larger single-level extensions, or
-  polynomials over the level below for the larger multi-level towers) and
-  every certificate is decided in that encoding by ``_det_nonzero``.
+  that its weak reduction settles is counted without a certificate; every
+  certificate is decided by ``_det_nonzero``.
   ``linalg.block_mds_matrix``, the (ell k) x (ell k) block certificate, is
   the reference the tests compare it with.
 * ``is_mds3_rs_fast``: Reed-Solomon fast paths: the six-point pairing
@@ -25,17 +23,13 @@ Decision paths implemented here:
   of each distinct open reduction, all on the same backend; when every one
   passes, the triple count comes in closed form and no triple is walked.
 * ``lb_witness_projective``: the projective-point distinctness witness
-  behind the field-size lower bound, its cross products on the backend.
+  behind the field-size lower bound, division-free: each point is a pair of
+  maximal minors of the generator matrix, by cofactor expansion.
 * ``exhaustive_code_search``: complete systematic enumeration at tiny
-  parameters, on the backend ``field_ops`` picks.  An MDS(3) code is MDS,
-  so every k-subset of coordinates is an information set and each code is
-  met exactly once as [I | X] with the identity on the first k
-  coordinates; the reported candidates still count all C(n, k) placements
-  that this one stands for.  Scaling the rows and columns of X keeps the
-  code MDS(3), so only the blocks whose first row and first column are
-  ones are certified, one per orbit of (q-1)^(n-1) blocks; the exemplars
-  are rebuilt from them in the full sweep's order.  The minors, and the
-  certificate of ``is_mds_ell`` on the triples the stream leaves open,
+  parameters.  An MDS(3) code is met exactly once as [I | X], and scaling
+  the rows and columns of X keeps it MDS(3), so only the blocks whose
+  first row and first column are ones are certified, one per orbit of
+  (q-1)^(n-1) blocks; the minors and the certificates of the open triples
   go through ``_det_nonzero``.
 
 All reports carry the number of tuples examined and wall time.
@@ -62,15 +56,7 @@ from .errors import (
     WrongKindError,
 )
 from .fields import field_of_order, prime_power
-from .linalg import (
-    MatrixF,
-    det,
-    eliminate,
-    field_ops,
-    null_basis,
-    rank,
-    rref,
-)
+from .linalg import eliminate, field_ops, null_basis
 from math import comb, factorial, prod
 
 __all__ = [
@@ -120,18 +106,21 @@ def _report(
 # -- MDS ------------------------------------------------------------------------
 
 
-def _minimal_dependent(m: MatrixF, cols: Sequence[int]) -> List[int]:
-    cols = list(cols)
-    changed = True
-    while changed:
-        changed = False
-        for c in list(cols):
-            rest = [x for x in cols if x != c]
-            if rest and rank(m.submatrix(range(m.nrows), rest)) < len(rest):
-                cols = rest
-                changed = True
-                break
-    return cols
+def _encoded_columns(code: CodeSpec):
+    """The backend ``field_ops`` picks for the code's field, and the
+    generator matrix's columns in its encoding."""
+    ops, g = field_ops(code.field), generator_matrix(code)
+    return ops, [[ops.encode(a) for a in g.col(j)] for j in range(code.n)]
+
+
+def _minimal_dependent(ops, cols: list, cc: Sequence[int]) -> Tuple[int, ...]:
+    """Drop columns of a dependent set while the rest stays dependent; one
+    pass suffices, as no dependent subset can lose a column the set cannot."""
+    for c in cc:
+        rest = [x for x in cc if x != c]
+        if len(eliminate([cols[x] for x in rest], ops)[0]) < len(rest):
+            cc = rest
+    return tuple(cc)
 
 
 def is_mds(code: CodeSpec) -> CheckReport:
@@ -154,14 +143,13 @@ def is_mds(code: CodeSpec) -> CheckReport:
                     "mds", False, count, t0, SetTuple((cols,), n, k)
                 )
         return _report("mds", True, count, t0)
-    g = generator_matrix(code)
-    for cols in itertools.combinations(range(n), k):
+    # each minor on its columns taken as rows, as a transpose keeps the det
+    ops, cols = _encoded_columns(code)
+    for cc in itertools.combinations(range(n), k):
         count += 1
-        if det(g.submatrix(range(k), cols)).is_zero():
-            small = _minimal_dependent(g, cols)
-            return _report(
-                "mds", False, count, t0, SetTuple((tuple(small),), n, k)
-            )
+        if not _det_nonzero(ops, [cols[j] for j in cc]):
+            witness = SetTuple((_minimal_dependent(ops, cols, cc),), n, k)
+            return _report("mds", False, count, t0, witness)
     return _report("mds", True, count, t0)
 
 
@@ -388,9 +376,8 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
     if ell <= 2:
         return _report(prop, True, base.tuples, t0, evaluated=0)
     n, k = code.n, code.k
-    g = generator_matrix(code)
-    ops = field_ops(code.field)
-    normals = _Normals([[ops.encode(a) for a in g.col(j)] for j in range(n)], k, ops)
+    ops, cols = _encoded_columns(code)
+    normals = _Normals(cols, k, ops)
     if ell == 3:
         tuples = ((sets, reduced is not None) for sets, (_, reduced) in _mds3_triples(n, k))
     else:
@@ -570,14 +557,46 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
 # -- the projective lower-bound witness ---------------------------------------------
 
 
-def lb_witness_projective(code: CodeSpec) -> CheckReport:
-    """Distinctness of the projective points attached to (k-1)-subsets.
+class _Minors(dict):
+    """(rows, cols) -> the minor on those index tuples of a matrix given by
+    its encoded columns, computed on first use by Laplace expansion along
+    its first column: division-free, and minors whose columns after the
+    first agree share their cofactors."""
 
-    After normalizing the first two columns to unit vectors, each
-    (k-1)-subset A of the remaining positions yields a point
-    (w1 : w2) built from maximal minors; two subsets sharing a point give
-    a concrete intersecting triple, and distinctness for all pairs forces
-    the field-size lower bound C(n-2, k-1) - 1.
+    def __init__(self, cols, ops):
+        self.cols, self.ops = cols, ops
+
+    def __missing__(self, key):
+        rows, cc = key
+        ops, col = self.ops, self.cols[cc[0]]
+        if len(rows) == 1:
+            got = col[rows[0]]
+        else:
+            got = ops.zero
+            for i, r in enumerate(rows):
+                if col[r]:
+                    # add (-1)^i col[r] times the cofactor, as got - f * cofactor
+                    f = col[r] if i % 2 else ops.neg(col[r])
+                    cofactor = self[rows[:i] + rows[i + 1 :], cc[1:]]
+                    got = ops.sub_multiple([got], [cofactor], f, 0)[0]
+        self[key] = got
+        return got
+
+
+def lb_witness_projective(code: CodeSpec) -> CheckReport:
+    """Distinctness of the projective points attached to the (k-1)-subsets
+    A of 2..n-1; two subsets sharing a point give a concrete intersecting
+    triple, and distinctness for all pairs forces the field-size lower
+    bound C(n-2, k-1) - 1.
+
+    The point of A is (det G[{0} | A] : det G[{1} | A]), two minors of the
+    generator matrix G.  As G is MDS, G = B [I | X] with B invertible, and
+    expanding along the unit column 0 or 1 gives -det B (w1, w2), where
+    w1 = -det of rows 1..k-1 and w2 = det of rows 0, 2..k-1 of [I | X] on
+    A make the point of the normalized form.  So the zero check and every
+    cross product vanish on the same subsets and pairs, with no division;
+    at Reed-Solomon k = 2 the point is (g_a - g_0, g_a - g_1).  Both minors
+    expand along their first column and share the k cofactors on A.
     """
     t0 = time.perf_counter()
     n, k = code.n, code.k
@@ -587,35 +606,13 @@ def lb_witness_projective(code: CodeSpec) -> CheckReport:
         raise NotMDSError("projective witness requires an MDS code")
     bound = max(0, comb(n - 2, k - 1) - 1)
     detail = f"bound={bound}"
-    if code.kind == "rs" and k == 2:
-        # unnormalized pair form; scaling both coordinates by the same
-        # nonzero factor does not move a projective point
-        assert code.generators is not None
-        g0, g1 = code.generators[0], code.generators[1]
-        pts = [
-            (g0 - code.generators[a], g1 - code.generators[a])
-            for a in range(2, n)
-        ]
-        subsets = [(a,) for a in range(2, n)]
-    else:
-        g = generator_matrix(code)
-        norm, pivots = rref(g)
-        if pivots[:2] != (0, 1):
-            raise NotMDSError("first two columns are dependent")
-        rows_w1 = list(range(1, k))
-        rows_w2 = [0] + list(range(2, k))
-        pts = []
-        subsets = list(itertools.combinations(range(2, n), k - 1))
-        for a in subsets:
-            w1 = -det(norm.submatrix(rows_w1, a))
-            w2 = det(norm.submatrix(rows_w2, a))
-            pts.append((w1, w2))
-    ops = field_ops(code.field)
+    ops, cols = _encoded_columns(code)
+    minors, rows = _Minors(cols, ops), tuple(range(k))
+    subsets = list(itertools.combinations(range(2, n), k - 1))
+    pts = [(minors[rows, (0,) + a], minors[rows, (1,) + a]) for a in subsets]
     mul = ops.mul
-    pts = [(ops.encode(w1), ops.encode(w2)) for w1, w2 in pts]
     count = 0
-    for i in range(len(pts)):
-        w1i, w2i = pts[i]
+    for i, (w1i, w2i) in enumerate(pts):
         if not w1i and not w2i:
             witness = SetTuple(((0, 1), subsets[i], subsets[i]), n, k)
             return _report("lb-witness", False, count, t0, witness, detail)
@@ -625,9 +622,7 @@ def lb_witness_projective(code: CodeSpec) -> CheckReport:
             # the cross product w1i w2j - w2i w1j vanishes
             if mul(w1i, w2j) == mul(w2i, w1j):
                 witness = SetTuple(((0, 1), subsets[i], subsets[j]), n, k)
-                return _report(
-                    "lb-witness", False, count, t0, witness, detail
-                )
+                return _report("lb-witness", False, count, t0, witness, detail)
     q_ok = code.field.order >= bound
     detail += f" q_at_least_bound={q_ok}"
     return _report("lb-witness", q_ok, count, t0, None, detail)
@@ -765,7 +760,7 @@ def exhaustive_code_search(
     ops = field_ops(field)
     values = [ops.encode(field.from_int(v)) for v in range(1, q)]
     tuples = None
-    identity = [tuple(map(ops.encode, row)) for row in MatrixF.identity(field, k).rows]
+    identity = [tuple(ops.one if i == j else ops.zero for j in range(k)) for i in range(k)]
     hits = set()
     blocks = 0
     for x_rows in _nonsingular_blocks(k, w, values, ops):

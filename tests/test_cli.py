@@ -171,6 +171,8 @@ def test_check_coefficient_outside_prime_field_exits_2(tmp_path, capsys, text):
             "code n=2 k=1 kind=explicit\nrow 1,0 0,1\n",
             id="unknown-ext-key",
         ),
+        # k = 0 needs no row lines, so nothing else refuses the length
+        pytest.param("field p=7\ncode n=-2 k=0 kind=explicit\n", id="negative-length"),
     ],
 )
 def test_check_malformed_code_file_exits_2(tmp_path, capsys, text):

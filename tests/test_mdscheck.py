@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdskit.constructions import build_k4, build_k5_weak
+from mdskit.constructions import build_general, build_k4, build_k5_weak
 from mdskit.codes import (
     GENERIC_ORACLE_PRIME,
     CodeSpec,
@@ -462,6 +462,55 @@ def test_mds_agrees_with_minor_bruteforce():
         assert is_mds(code).ok == expect
 
 
+def _is_mds_reference(code):
+    """is_mds's (ok, tuples, witness) on an explicit code from the det and
+    rank of MatrixF submatrices: the first singular k x k minor, shrunk by
+    dropping a column while the rest stays dependent."""
+    g, n, k = generator_matrix(code), code.n, code.k
+    count = 0
+    for count, cols in enumerate(itertools.combinations(range(n), k), 1):
+        if det(g.submatrix(range(k), cols)).is_zero():
+            small, changed = list(cols), True
+            while changed:
+                changed = False
+                for c in list(small):
+                    rest = [x for x in small if x != c]
+                    if rest and rank(g.submatrix(range(k), rest)) < len(rest):
+                        small, changed = rest, True
+                        break
+            return False, count, SetTuple((tuple(small),), n, k)
+    return True, count, None
+
+
+@pytest.mark.parametrize("q", [16, 67, 243, 729])
+def test_is_mds_explicit_matches_matrix_minors(q):
+    """Explicit codes on index tables (GF(16)), ints mod p (GF(67)), packed
+    ints (GF(243)) and the level backend (GF((3^2)^3)), against the MatrixF
+    reference.  Every other code gets one column proportional to another,
+    so at k >= 3 the first singular minor's columns shrink to that pair."""
+    field = {16: F16, 67: F67, 243: F243, 729: F729}[q]
+    rng = random.Random(q)
+    rand = lambda: field.from_int(rng.randrange(field.order))
+    outcomes, shrunk = set(), 0
+    for trial in range(24):
+        k = 2 + trial % 3
+        n = k + 1 + rng.randrange(4)
+        cols = [[rand() for _ in range(k)] for _ in range(n)]
+        if trial % 2:
+            i, j = sorted(rng.sample(range(n), 2))
+            c = field.from_int(rng.randrange(1, field.order))
+            cols[j] = [c * a for a in cols[i]]
+        m = MatrixF(field, [[col[r] for col in cols] for r in range(k)])
+        if rank(m) < k:
+            continue
+        code = explicit_code(field, m)
+        rep = is_mds(code)
+        assert (rep.ok, rep.tuples, rep.witness) == _is_mds_reference(code)
+        outcomes.add(rep.ok)
+        shrunk += not rep.ok and len(rep.witness.sets[0]) < k
+    assert outcomes == {True, False} and shrunk
+
+
 # -- canonical tuple enumeration ----------------------------------------------------
 
 
@@ -878,42 +927,81 @@ def test_lb_witness_fails_when_bound_exceeds_field():
     assert dim >= 1
 
 
-def test_lb_witness_k2_shortcut_matches_general_path():
-    pts = [0, 1, 3, 5, 6]
-    code = rs(F7, pts, 2)
-    fast = lb_witness_projective(code)
-    g = generator_matrix(code)
-    slow = lb_witness_projective(
-        explicit_code(F7, [[int(v.to_int()) for v in r] for r in g.rows])
-    )
-    assert fast.ok == slow.ok
-    assert fast.detail is not None and slow.detail is not None
-    assert fast.detail.split()[0] == slow.detail.split()[0]
-
-
-def _lb_witness_reference(code):
-    """lb_witness_projective's (tuples, witness) on its general path, with
-    the points' cross products taken in FieldElement arithmetic."""
-    n, k = code.n, code.k
+def _normalized_points(code):
+    """(w1, w2) of each (k-1)-subset A of 2..n-1 from rref(G) = [I | X]:
+    w1 = -det of rows 1..k-1 and w2 = det of rows 0, 2..k-1, on A."""
+    k = code.k
     norm, _ = rref(generator_matrix(code))
-    subsets = list(itertools.combinations(range(2, n), k - 1))
-    pts = [
+    return [
         (
             -det(norm.submatrix(range(1, k), a)),
             det(norm.submatrix([0] + list(range(2, k)), a)),
         )
-        for a in subsets
+        for a in itertools.combinations(range(2, code.n), k - 1)
     ]
+
+
+def _pair_points(code):
+    """Reed-Solomon k = 2: (g_0 - g_a, g_1 - g_a), the normalized points
+    times g_1 - g_0, with no inverse, so deep towers stay in reach."""
+    g = code.generators
+    return [(g[0] - g[a], g[1] - g[a]) for a in range(2, code.n)]
+
+
+def _lb_witness_reference(code, points=_normalized_points):
+    """lb_witness_projective's (ok, tuples, witness, detail), the points'
+    cross products taken in FieldElement arithmetic."""
+    n, k = code.n, code.k
+    subsets = list(itertools.combinations(range(2, n), k - 1))
+    pts = points(code)
+    bound = max(0, math.comb(n - 2, k - 1) - 1)
+    detail = f"bound={bound}"
     count = 0
     for i, (w1i, w2i) in enumerate(pts):
         if w1i.is_zero() and w2i.is_zero():
-            return count, SetTuple(((0, 1), subsets[i], subsets[i]), n, k)
+            return False, count, SetTuple(((0, 1), subsets[i], subsets[i]), n, k), detail
         for j in range(i + 1, len(pts)):
             count += 1
             w1j, w2j = pts[j]
             if (w1i * w2j - w2i * w1j).is_zero():
-                return count, SetTuple(((0, 1), subsets[i], subsets[j]), n, k)
-    return count, None
+                witness = SetTuple(((0, 1), subsets[i], subsets[j]), n, k)
+                return False, count, witness, detail
+    q_ok = code.field.order >= bound
+    return q_ok, count, None, detail + f" q_at_least_bound={q_ok}"
+
+
+def _lb_outcome(rep):
+    return rep.ok, rep.tuples, rep.witness, rep.detail
+
+
+def test_lb_witness_matches_normalized_reference():
+    """The witness decides on the minors det G[{0} | A] and det G[{1} | A]
+    with no normalization and no Reed-Solomon branch.  Against the points
+    of rref(G): RS k = 2 codes over GF(7) and GF(81) (also against the pair
+    form) and explicit MDS codes with k = 2..4, where [7, 3] over GF(7) has
+    10 points in the 8 of the projective line and must fail.  The deep
+    tower code of build_general(5, 2, 3) is RS with k = 2; rref's inverse
+    there is out of reach, so it is checked against the pair form."""
+    rng = random.Random(19)
+    for field, n in [(F7, 5), (F7, 7), (F81, 9), (F81, 12)]:
+        code = rs(field, rng.sample(range(field.order), n), 2)
+        rep = _lb_outcome(lb_witness_projective(code))
+        assert rep == _lb_witness_reference(code)
+        assert rep == _lb_witness_reference(code, _pair_points)
+    outcomes = set()
+    for field, k, n in [
+        (F7, 2, 5), (F7, 3, 6), (F7, 3, 7), (F11, 3, 7), (F11, 4, 7), (F13, 4, 7), (F16, 4, 7)
+    ]:
+        for _ in range(2):
+            code = _random_mds_code(field, k, n, rng)
+            rep = _lb_outcome(lb_witness_projective(code))
+            assert rep == _lb_witness_reference(code)
+            outcomes.add((rep[0], rep[2] is None))
+    assert outcomes == {(True, True), (False, False)}
+    deep = build_general(5, 2, 3, per_level_degree=7).code
+    rep = _lb_outcome(lb_witness_projective(deep))
+    assert rep == _lb_witness_reference(deep, _pair_points)
+    assert rep[0]
 
 
 def test_lb_witness_cross_products_match_field_elements():
@@ -924,7 +1012,7 @@ def test_lb_witness_cross_products_match_field_elements():
     for field, n in [(F81, 8), (F81, 10), (F81, 10), (F729, 9), (F729, 9)]:
         code = rs(field, rng.sample(range(field.order), n), 3)
         rep = lb_witness_projective(code)
-        assert (rep.tuples, rep.witness) == _lb_witness_reference(code)
+        assert _lb_outcome(rep) == _lb_witness_reference(code)
         witnesses.add(rep.witness is None)
     assert witnesses == {True, False}
 
