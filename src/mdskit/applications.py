@@ -181,24 +181,30 @@ def _syndromes(code: CodeSpec, w_max: int):
                         yield supp, vals + (v,), sub(s, col, f, 0)
 
 
-def _ld_single(code: CodeSpec, ell: int, budget: int):
-    """One list size: (ok, vectors enumerated, failure detail)."""
+def _ld_single(code: CodeSpec, ell: int):
+    """One list size: (ok, vectors, vectors walked, failure detail).
+
+    ``vectors`` is the weight-bounded count a full sweep would enumerate;
+    the sweep stops early once every syndrome class is decided.  A bucket
+    holding ell+1 arrivals whose total weight exceeds ell*(n-k) is decided:
+    later arrivals skip it, so it can never fail.  There are q^(n-k)
+    syndromes, so once that many classes are decided no later vector can
+    fail the check (H has full rank, so every class is reached).  The
+    argument uses no MDS(ell) fact."""
     n, k = code.n, code.k
     if k == n:
         # weight budget ell*(n-k) = 0: only the zero vector qualifies
-        return True, 1, None
+        return True, 1, 0, None
     if k == 0:
         # the syndrome map is injective, buckets are singletons
-        return True, 0, None
+        return True, 0, 0, None
     w_max = ell * (n - k)
-    count = _weight_bounded_count(n, code.field.order, w_max)
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} weight-bounded vectors exceed budget {budget}"
-        )
+    q = code.field.order
+    count = _weight_bounded_count(n, q, w_max)
     # buckets hold the first ell+1 arrivals; weight-ascending enumeration
     # makes those the minimum-total choice, so each bucket is decided once
     buckets: Dict[tuple, List[Tuple[int, Tuple[int, ...]]]] = {}
+    undecided = q ** (n - k)
     for seen, (supp, vals, syn) in enumerate(_syndromes(code, w_max), 1):
         best = buckets.setdefault(tuple(syn), [])
         if len(best) > ell:
@@ -216,8 +222,11 @@ def _ld_single(code: CodeSpec, ell: int, budget: int):
                     f"a syndrome with total weight {total} <= {w_max}: "
                     f"{vecs}"
                 )
-                return False, seen, detail
-    return True, seen, None
+                return False, seen, seen, detail
+            undecided -= 1
+            if not undecided:
+                return True, count, seen, None
+    return True, seen, seen, None
 
 
 def ld_mds_check(
@@ -227,22 +236,34 @@ def ld_mds_check(
 
     Fails iff L+1 distinct vectors share a syndrome of the code's parity
     check with total weight at most L*(n-k); the search enumerates vectors
-    in weight-ascending order and buckets them by syndrome.  With up_to=True
-    the property is required at every list size 1..L.  Vector entries in
-    failure details are canonical element indices.
+    in weight-ascending order and buckets them by syndrome, and a passing
+    sweep stops once every syndrome class holds L+1 vectors too heavy to
+    fail (see ``_ld_single``), reporting the full sweep's count as tuples.
+    With up_to=True the property is required at every list size 1..L, and
+    every size's count is held to the budget before the first sweep.
+    ``evaluated`` counts the vectors whose syndrome was computed.  Vector
+    entries in failure details are canonical element indices.
     """
     t0 = time.perf_counter()
     if L < 1:
         raise SizeConstraintError(f"need L >= 1, got {L}")
     prop = f"ld-mds(<={L})" if up_to else f"ld-mds({L})"
     sizes = range(1, L + 1) if up_to else (L,)
-    total = 0
+    n, k = code.n, code.k
+    for ell in sizes if 0 < k < n else ():  # k = 0 or n sweeps nothing
+        count = _weight_bounded_count(n, code.field.order, ell * (n - k))
+        if count > budget:
+            raise BudgetExceededError(
+                f"{count} weight-bounded vectors exceed budget {budget}"
+            )
+    total = walked = 0
     for ell in sizes:
-        ok, seen, detail = _ld_single(code, ell, budget)
+        ok, seen, swept, detail = _ld_single(code, ell)
         total += seen
+        walked += swept
         if not ok:
-            return _report(prop, False, total, t0, detail=detail)
-    return _report(prop, True, total, t0)
+            return _report(prop, False, total, t0, detail=detail, evaluated=walked)
+    return _report(prop, True, total, t0, evaluated=walked)
 
 
 def duality_test(code: CodeSpec, ell: int, budget: int = 10**6) -> CheckReport:

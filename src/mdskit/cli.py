@@ -213,6 +213,10 @@ def _parse_radius(text: str):
 
 
 def _cmd_ld_check(args) -> int:
+    if args.radius is not None and not args.worst_case:
+        raise UsageError("--radius applies only with --worst-case")
+    if args.single and args.worst_case:
+        raise UsageError("--single applies only without --worst-case")
     code, _ = _load_code(args.file)
     if args.worst_case:
         if args.radius is None:

@@ -78,8 +78,9 @@ class CheckReport:
     time_ms: int
     witness: Optional[SetTuple] = None
     detail: Optional[str] = None
-    # certificates computed (determinants, not tuples); set by is_mds_ell
-    # and is_mds3_rs_fast, None elsewhere, and never printed
+    # work actually done, never printed: certificates computed (determinants,
+    # not tuples) by is_mds_ell and is_mds3_rs_fast, vectors whose syndrome
+    # was computed by ld_mds_check; None elsewhere
     evaluated: Optional[int] = None
 
     @property

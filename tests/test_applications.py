@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from mdskit import applications
 from mdskit.applications import (
     ErasurePattern,
     TensorCodeSpec,
@@ -476,6 +477,60 @@ def test_list_decoding_sweeps_match_table_references(q):
         ("ld", True), ("ld", False), ("wc", True, True), ("wc", False, True),
         ("wc", False, False),
     }
+
+
+def _grs(field, n, k, seed):
+    rng = random.Random(seed)
+    scale = [field.from_int(rng.randrange(1, field.order)) for _ in range(n)]
+    rows = generator_matrix(_rs(field, n, k)).rows
+    return explicit_code(field, [[s * e for s, e in zip(scale, r)] for r in rows])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("dual", [False, True], ids=["grs", "dual"])
+def test_ld_early_exit_matches_full_sweep_reference(k, dual):
+    # passing shapes above the pool's budget, where the sweep stops once
+    # every syndrome class is decided; tuples still count the full sweep
+    code = _grs(F7, 5, k, seed=k)
+    code = dual_code(code) if dual else code
+    for up_to in (True, False):
+        r = ld_mds_check(code, 2, up_to=up_to)
+        assert r.ok and r.evaluated < r.tuples, up_to
+        assert (r.ok, r.tuples, r.detail) == _ld_reference(code, 2, up_to), up_to
+
+
+def test_ld_failing_code_matches_full_sweep_reference():
+    ext = _extended_rs_63()
+    for up_to in (True, False):
+        r = ld_mds_check(ext, 2, up_to=up_to)
+        assert not r.ok and r.evaluated == r.tuples
+        assert (r.ok, r.tuples, r.detail) == _ld_reference(ext, 2, up_to)
+
+
+def test_ld_evaluated_counts_vectors_walked():
+    r = ld_mds_check(_rs(F5, 5, 3), 2, up_to=True)
+    assert (r.ok, r.tuples, r.evaluated) == (True, 2282, 380)
+    # at L = 1 the zero class of an MDS code holds only the zero vector
+    # within weight n-k, so it is never decided and the sweep runs to the end
+    r = ld_mds_check(_rs(F5, 5, 3), 1)
+    assert (r.ok, r.tuples, r.evaluated) == (True, 181, 181)
+
+
+def test_ld_up_to_budget_refuses_before_any_sweep(monkeypatch):
+    # the size-1 sweep (2,551 vectors) fits the budget, the size-2 one does not
+    calls = []
+    sweep = applications._syndromes
+    monkeypatch.setattr(
+        applications, "_syndromes", lambda *a: calls.append(a) or sweep(*a)
+    )
+    with pytest.raises(
+        BudgetExceededError, match=r"^16807 weight-bounded vectors exceed budget 10000$"
+    ):
+        ld_mds_check(_rs(F7, 5, 2), 2, budget=10000)
+    # the smallest list size over the budget names its count, as a sweep would
+    with pytest.raises(BudgetExceededError, match=r"^2551 weight-bounded"):
+        ld_mds_check(_rs(F7, 5, 2), 2, budget=2000)
+    assert calls == []
 
 
 def test_list_decoding_over_a_large_prime_builds_no_tables(no_large_tables):

@@ -304,6 +304,19 @@ def test_ld_check_radius_validation(tmp_path, capsys):
     )
 
 
+def test_ld_check_inapplicable_flags_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "bad.txt", BAD42)
+    assert cli.main(["ld-check", path, "--list-size", "2", "--radius", "1/3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--radius applies only with --worst-case" in captured.err
+    argv = ["ld-check", path, "--list-size", "2", "--worst-case", "--radius", "1/3"]
+    assert cli.main(argv + ["--single"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--single applies only without --worst-case" in captured.err
+
+
 # -- tensor-check ----------------------------------------------------------------
 
 
