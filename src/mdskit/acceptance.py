@@ -179,7 +179,7 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     """No [6,3] systematic code over GF(4) is order-3; bound 5 > 4."""
     t0 = time.perf_counter()
-    res = exhaustive_code_search(6, 3, 4, "mds3")
+    res = exhaustive_code_search(6, 3, 4)
     bound = math.comb(4, 2) - 1
     ok = res.count == 0 and bound > 4
     detail = (

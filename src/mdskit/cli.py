@@ -1,12 +1,14 @@
 """Command line front end.
 
-Subcommands cover the whole toolkit: construct code files, check properties
-of parsed codes, search tiny parameter spaces, run tensor and list-decoding
-checks, verify the polynomial certificates, and drive acceptance suites.
+Subcommands cover the whole toolkit: construct code files, check MDS
+properties of parsed codes, search tiny parameter spaces, run tensor and
+list-decoding checks, verify the polynomial certificates, and drive
+acceptance suites.  Each computation has one subcommand, and an option that
+the chosen family or mode does not read is a usage error, never ignored.
 
-Exit codes: 0 pass, 1 fail (or construction failure), 2 usage or parse
-error, 3 budget exceeded / inconclusive.  Report lines never include wall
-clock times, so identical inputs and seed give byte-identical output.
+Exit codes: 0 pass, 1 fail (or construction failure), 2 usage, parse or
+file error, 3 budget exceeded / inconclusive.  Report lines never include
+wall clock times, so identical inputs and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ def _emit_report(rep: CheckReport, fmt: str) -> None:
 
 def _load_code(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     try:
         return parse_code(text)
@@ -85,8 +87,20 @@ def _load_code(path: str):
 
 # -- subcommands -----------------------------------------------------------------
 
+# the construct options each family reads; any other one is refused
+_FAMILY_OPTIONS = {
+    "k3-n4": (),
+    "k3-n3": (),
+    "k4-general": ("k",),
+    "k5-weak": ("k", "degree"),
+    "general-ell": ("k", "ell", "degree"),
+}
+
 
 def _cmd_construct(args) -> int:
+    for opt in ("k", "ell", "degree"):
+        if getattr(args, opt) is not None and opt not in _FAMILY_OPTIONS[args.name]:
+            raise UsageError(f"--{opt} does not apply to {args.name}")
     # parameter validation errors are usage errors; search failures inside
     # the builders (no Sidon set, no suitable prime) are construction failures
     try:
@@ -94,7 +108,7 @@ def _cmd_construct(args) -> int:
             name=args.name,
             n=args.n,
             k=args.k or 0,
-            ell=args.ell,
+            ell=3 if args.ell is None else args.ell,
             extension_degree=args.degree if args.name == "k5-weak" else None,
             per_level_degree=args.degree if args.name == "general-ell" else None,
         )
@@ -113,8 +127,11 @@ def _cmd_construct(args) -> int:
             return EXIT_FAIL
     text = format_code(built.code, built.provenance)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}")
         _emit(
             {
                 "event": "construct",
@@ -138,33 +155,21 @@ def _cmd_check(args) -> int:
     elif args.property == "mds3":
         # product-matrix path for evaluation codes, block path otherwise
         rep = is_mds3_rs_fast(code) if code.kind == "rs" else is_mds_ell(code, 3)
-    elif args.property == "mdsell":
+    else:  # mdsell
         rep = is_mds_ell(code, args.ell)
-    else:  # mr
-        if args.m is None:
-            raise UsageError("--property mr needs --m (tensor column length)")
-        col = single_parity_code(code.field, args.m)
-        rep = mr_check(
-            TensorCodeSpec(col, code),
-            budget=args.budget,
-            trials=args.trials,
-            seed=args.seed,
-        )
     _emit_report(rep, args.format)
     return EXIT_PASS if rep.ok else EXIT_FAIL
 
 
 def _cmd_search(args) -> int:
-    res = exhaustive_code_search(
-        args.n, args.k, args.q, prop=args.property, budget=args.budget
-    )
+    res = exhaustive_code_search(args.n, args.k, args.q, budget=args.budget)
     _emit(
         {
             "event": "search",
             "n": args.n,
             "k": args.k,
             "q": args.q,
-            "property": args.property,
+            "property": "mds3",
             "candidates": res.candidates,
             "count": res.count,
             "exemplars": len(res.exemplars),
@@ -179,6 +184,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_tensor_check(args) -> int:
+    # the sweep's options, where given; mr_check holds their defaults
+    sweep = {
+        opt: getattr(args, opt)
+        for opt in ("budget", "trials", "seed")
+        if getattr(args, opt) is not None
+    }
+    if args.pattern is not None and sweep:
+        raise UsageError(f"--{next(iter(sweep))} applies only without --pattern")
     code, _ = _load_code(args.file)
     col = single_parity_code(code.field, args.m)
     spec = TensorCodeSpec(col, code)
@@ -196,7 +209,7 @@ def _cmd_tensor_check(args) -> int:
             args.format,
         )
         return EXIT_PASS if ok else EXIT_FAIL
-    rep = mr_check(spec, budget=args.budget, trials=args.trials, seed=args.seed)
+    rep = mr_check(spec, **sweep)
     _emit_report(rep, args.format)
     return EXIT_PASS if rep.ok else EXIT_FAIL
 
@@ -302,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "jsonl"), default="text", help="report format"
     )
-    common.add_argument("--seed", type=int, default=0, help="randomized-oracle seed")
 
     top = argparse.ArgumentParser(
         prog="mdskit",
@@ -313,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", parents=[common], help="build a code family member")
     p.add_argument("--name", required=True, choices=CONSTRUCTION_NAMES)
     p.add_argument("--n", type=int, required=True, help="code length")
-    p.add_argument("--k", type=int, default=0, help="dimension (0 = family default)")
-    p.add_argument("--ell", type=int, default=3, help="intersection order (general-ell)")
+    p.add_argument("--k", type=int, default=None, help="dimension (0 = family default)")
+    p.add_argument("--ell", type=int, default=None, help="intersection order (default 3)")
     p.add_argument(
         "--degree",
         type=int,
@@ -326,20 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="check a property of a code file")
     p.add_argument("file")
-    p.add_argument(
-        "--property", required=True, choices=("mds", "mds3", "mdsell", "mr")
-    )
+    p.add_argument("--property", required=True, choices=("mds", "mds3", "mdsell"))
     p.add_argument("--ell", type=int, default=3, help="order for --property mdsell")
-    p.add_argument("--m", type=int, default=None, help="tensor column length for mr")
-    p.add_argument("--budget", type=int, default=10**6, help="read by --property mr only")
-    p.add_argument("--trials", type=int, default=5, help="generic-oracle trials for mr")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("search", parents=[common], help="exhaustive tiny-space search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--property", default="mds3", choices=("mds3",))
     p.add_argument("--budget", type=int, default=10**7)
     p.set_defaults(func=_cmd_search)
 
@@ -355,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="single erasure pattern r,c;r,c;... instead of the full sweep",
     )
-    p.add_argument("--budget", type=int, default=10**6)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--budget", type=int, default=None, help="patterns (default 10^6)")
+    p.add_argument("--trials", type=int, default=None, help="generic-oracle trials (default 5)")
+    p.add_argument("--seed", type=int, default=None, help="oracle and sample seed (default 0)")
     p.set_defaults(func=_cmd_tensor_check)
 
     p = sub.add_parser(
@@ -402,8 +409,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "budget", 0) < 0:
-            raise UsageError(f"--budget must be at least 0, got {args.budget}")
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 0:
+            raise UsageError(f"--budget must be at least 0, got {budget}")
         return args.func(args)
     except (UsageError, SizeConstraintError) as exc:
         # a size constraint broken by an argument is a usage error, not a

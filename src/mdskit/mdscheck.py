@@ -718,7 +718,6 @@ def exhaustive_code_search(
     n: int,
     k: int,
     q: int,
-    prop: str = "mds3",
     budget: int = 10**6,
     exemplar_cap: int = 10,
 ) -> SearchResult:
@@ -746,8 +745,6 @@ def exhaustive_code_search(
     the normalized hits by ``_first_hits``.  All arithmetic runs through
     the backend ``field_ops`` picks for GF(q).
     """
-    if prop != "mds3":
-        raise WrongKindError(f"unsupported search property {prop!r}")
     if not 1 <= k <= n:
         raise SizeConstraintError(f"need 1 <= k <= n, got n={n} k={k}")
     if prime_power(q) is None:

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through main()."""
 
+import argparse
 import json
 
 import pytest
@@ -80,6 +81,37 @@ def test_construct_unknown_name_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["construct", "--name", "k9-wild", "--n", "7"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--name", "k3-n4", "--n", "7", "--k", "5"],
+        ["--name", "k3-n3", "--n", "7", "--k", "3"],
+        ["--name", "k3-n4", "--n", "7", "--ell", "3"],
+        ["--name", "k4-general", "--n", "8", "--ell", "7"],
+        ["--name", "k5-weak", "--n", "5", "--ell", "2"],
+        ["--name", "k3-n3", "--n", "7", "--degree", "2"],
+        ["--name", "k4-general", "--n", "8", "--degree", "9"],
+    ],
+    ids=["k_k3n4", "k_k3n3", "ell_k3n4", "ell_k4", "ell_k5", "degree_k3n3",
+         "degree_k4"],
+)
+def test_construct_refuses_options_its_family_does_not_read(capsys, args):
+    rc = cli.main(["construct"] + args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"mdskit: {args[4]} does not apply to {args[1]}\n"
+
+
+def test_construct_unwritable_out_exits_2(capsys):
+    out = "/nonexistent/dir/x.txt"
+    rc = cli.main(["construct", "--name", "k3-n4", "--n", "7", "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"mdskit: cannot write {out}: ")
 
 
 def test_construct_failure_exits_1(capsys):
@@ -182,11 +214,23 @@ def test_check_malformed_code_file_exits_2(tmp_path, capsys, text):
     assert "cannot parse" in capsys.readouterr().err
 
 
-def test_check_mr_requires_m(tmp_path, capsys):
-    path = _write(tmp_path, "bad.txt", BAD42)
-    rc = cli.main(["check", path, "--property", "mr"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--property", "mds"],
+        ["tensor-check", "--m", "2"],
+        ["ld-check", "--list-size", "1"],
+    ],
+    ids=["check", "tensor_check", "ld_check"],
+)
+def test_non_utf8_code_file_exits_2(tmp_path, capsys, args):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    rc = cli.main(args[:1] + [str(path)] + args[1:])
+    captured = capsys.readouterr()
     assert rc == 2
-    assert "--m" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err.startswith(f"mdskit: cannot read {path}: ")
 
 
 @pytest.mark.parametrize(
@@ -197,15 +241,13 @@ def test_check_mr_requires_m(tmp_path, capsys):
         ["tensor-check", "--m", "2", "--pattern", "5,0"],
         ["check", "--property", "mdsell", "--ell", "0"],
         ["ld-check", "--list-size", "0"],
-        ["check", "--property", "mr", "--m", "1"],
-        ["check", "--property", "mr", "--m", "2", "--budget", "-1"],
-        ["check", "--property", "mr", "--m", "2", "--trials", "0"],
-        ["check", "--property", "mr", "--m", "2", "--trials", "-2"],
+        ["tensor-check", "--m", "1"],
+        ["tensor-check", "--m", "2", "--trials", "-2"],
         ["tensor-check", "--m", "2", "--trials", "0"],
     ],
     ids=["pattern_one_coordinate", "pattern_not_int", "pattern_off_grid",
-         "ell_zero", "list_size_zero", "mr_m_one", "mr_budget_negative",
-         "mr_trials_zero", "mr_trials_negative", "tensor_trials_zero"],
+         "ell_zero", "list_size_zero", "mr_m_one", "mr_trials_negative",
+         "tensor_trials_zero"],
 )
 def test_bad_argument_exits_2(tmp_path, capsys, args):
     path = _write(tmp_path, "good.txt", GOOD43)
@@ -219,15 +261,12 @@ def test_bad_argument_exits_2(tmp_path, capsys, args):
 @pytest.mark.parametrize(
     "args",
     [
-        ["check", "{path}", "--property", "mds"],
-        ["check", "{path}", "--property", "mr", "--m", "2"],
         ["tensor-check", "{path}", "--m", "2"],
         ["ld-check", "{path}", "--list-size", "1"],
         ["search", "--n", "4", "--k", "2", "--q", "3"],
         ["verify-certificates"],
     ],
-    ids=["check", "check_mr", "tensor_check", "ld_check", "search",
-         "verify_certificates"],
+    ids=["tensor_check", "ld_check", "search", "verify_certificates"],
 )
 def test_negative_budget_exits_2(tmp_path, capsys, args):
     path = _write(tmp_path, "good.txt", GOOD43)
@@ -237,24 +276,6 @@ def test_negative_budget_exits_2(tmp_path, capsys, args):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "mdskit: --budget must be at least 0, got -1\n"
-
-
-def test_check_mr_sampling_no_pattern_exits_3(tmp_path, capsys):
-    # a budget of 0 is below the 2^8 patterns, so the check samples, and a
-    # sample of no pattern decides nothing
-    path = _write(tmp_path, "good.txt", GOOD43)
-    rc = cli.main(["check", path, "--property", "mr", "--m", "2", "--budget", "0"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert captured.out == ""
-    assert "budget" in captured.err
-
-
-def test_check_mr_property(tmp_path, capsys):
-    path = _write(tmp_path, "bad.txt", BAD42)
-    rc = cli.main(["check", path, "--property", "mr", "--m", "2"])
-    assert rc == 1
-    assert "mr-tensor" in capsys.readouterr().out
 
 
 # -- ld-check --------------------------------------------------------------------
@@ -339,6 +360,89 @@ def test_tensor_check_full_sweep_passes_for_mds_row(tmp_path, capsys):
     rc = cli.main(["tensor-check", path, "--m", "2"])
     assert rc == 0
     assert "verdict=pass" in capsys.readouterr().out
+
+
+def test_tensor_check_requires_m(tmp_path):
+    path = _write(tmp_path, "bad.txt", BAD42)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tensor-check", path])
+    assert exc.value.code == 2
+
+
+def test_tensor_check_sampling_no_pattern_exits_3(tmp_path, capsys):
+    # a budget of 0 is below the 2^8 patterns, so the check samples, and a
+    # sample of no pattern decides nothing
+    path = _write(tmp_path, "good.txt", GOOD43)
+    rc = cli.main(["tensor-check", path, "--m", "2", "--budget", "0"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
+_MR_GOOD = "mr-tensor(m=2,n=4,a=1,b=1)"
+_MR_BAD = "mr-tensor(m=2,n=4,a=1,b=2)"
+_NOT_BY_CODE = "correctable generically but not by this code"
+
+
+# the lines `check FILE --property mr --m 2` printed before tensor-check
+# became the one command for the maximal recoverability check
+@pytest.mark.parametrize(
+    "text, extra, rc, lines",
+    [
+        (GOOD43, [], 0, [
+            f"property={_MR_GOOD} verdict=pass tuples=256 "
+            "detail=mode=exhaustive; 189 of 256 patterns correctable",
+            '{"detail": "mode=exhaustive; 189 of 256 patterns correctable", '
+            f'"property": "{_MR_GOOD}", "tuples": 256, "verdict": "pass"}}',
+        ]),
+        (GOOD43, ["--budget", "200"], 0, [
+            f"property={_MR_GOOD} verdict=pass tuples=200 "
+            "detail=mode=sampled; 200 of 256 patterns agree",
+            '{"detail": "mode=sampled; 200 of 256 patterns agree", '
+            f'"property": "{_MR_GOOD}", "tuples": 200, "verdict": "pass"}}',
+        ]),
+        (BAD42, [], 1, [
+            f"property={_MR_BAD} verdict=fail tuples=256 detail=mode=exhaustive; "
+            f"pattern 0,0;0,2;1,0;1,2 {_NOT_BY_CODE}; 18 disagreements",
+            '{"detail": "mode=exhaustive; pattern 0,0;0,2;1,0;1,2 '
+            f'{_NOT_BY_CODE}; 18 disagreements", "property": "{_MR_BAD}", '
+            '"tuples": 256, "verdict": "fail"}',
+        ]),
+        (BAD42, ["--budget", "200"], 1, [
+            f"property={_MR_BAD} verdict=fail tuples=200 detail=mode=sampled "
+            f"200/256; pattern 0,0;0,1;0,3;1,1;1,2;1,3 {_NOT_BY_CODE}",
+            '{"detail": "mode=sampled 200/256; pattern 0,0;0,1;0,3;1,1;1,2;1,3 '
+            f'{_NOT_BY_CODE}", "property": "{_MR_BAD}", "tuples": 200, '
+            '"verdict": "fail"}',
+        ]),
+        (BAD42, ["--budget", "200", "--seed", "7"], 1, [
+            f"property={_MR_BAD} verdict=fail tuples=200 detail=mode=sampled "
+            f"200/256; pattern 0,0;0,2;0,3;1,0;1,2 {_NOT_BY_CODE}",
+            '{"detail": "mode=sampled 200/256; pattern 0,0;0,2;0,3;1,0;1,2 '
+            f'{_NOT_BY_CODE}", "property": "{_MR_BAD}", "tuples": 200, '
+            '"verdict": "fail"}',
+        ]),
+    ],
+    ids=["good-exhaustive", "good-sampled", "bad-exhaustive", "bad-sampled",
+         "bad-sampled-seed7"],
+)
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_tensor_check_prints_pinned_mr_line(tmp_path, capsys, text, extra, rc, lines, fmt):
+    path = _write(tmp_path, "code.txt", text)
+    argv = ["tensor-check", path, "--m", "2", *extra, "--format", fmt]
+    assert cli.main(argv) == rc
+    assert capsys.readouterr().out == lines[fmt == "jsonl"] + "\n"
+
+
+@pytest.mark.parametrize("opt", ["--budget", "--trials", "--seed"])
+def test_tensor_check_pattern_refuses_sweep_options(tmp_path, capsys, opt):
+    path = _write(tmp_path, "bad.txt", BAD42)
+    rc = cli.main(["tensor-check", path, "--m", "2", "--pattern", "0,1", opt, "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"mdskit: {opt} applies only without --pattern\n"
 
 
 # -- search ----------------------------------------------------------------------
@@ -426,6 +530,65 @@ def test_jsonl_reports_parse(tmp_path, capsys):
     assert obj["verdict"] == "fail"
     assert obj["property"] == "mds3"
     assert "witness" in obj
+
+
+# -- the parser ------------------------------------------------------------------
+
+
+def test_parser_option_sets_are_pinned():
+    # a new option has to be added here on purpose
+    subparsers = next(
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        name: sorted(
+            opt
+            for action in parser._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        )
+        for name, parser in subparsers.choices.items()
+    }
+    assert options == {
+        "construct": ["--degree", "--ell", "--format", "--k", "--n", "--name", "--out"],
+        "check": ["--ell", "--format", "--property"],
+        "search": ["--budget", "--format", "--k", "--n", "--q"],
+        "tensor-check": ["--budget", "--format", "--m", "--pattern", "--seed", "--trials"],
+        "ld-check": ["--budget", "--format", "--list-size", "--radius", "--single",
+                     "--worst-case"],
+        "verify-certificates": ["--budget", "--char2", "--format"],
+        "acceptance": ["--format"],
+    }
+    assert sum(len(opts) for opts in options.values()) == 31
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "--name", "k3-n4", "--n", "7", "--seed", "3"],
+        ["check", "{path}", "--property", "mds", "--seed", "3"],
+        ["check", "{path}", "--property", "mds", "--m", "2"],
+        ["check", "{path}", "--property", "mds", "--budget", "1"],
+        ["check", "{path}", "--property", "mds", "--trials", "9"],
+        ["check", "{path}", "--property", "mr", "--m", "2"],
+        ["search", "--n", "4", "--k", "2", "--q", "3", "--seed", "3"],
+        ["search", "--n", "4", "--k", "2", "--q", "3", "--property", "mds3"],
+        ["ld-check", "{path}", "--list-size", "1", "--seed", "3"],
+        ["verify-certificates", "--seed", "3"],
+        ["acceptance", "certificates", "--seed", "3"],
+    ],
+    ids=["construct_seed", "check_seed", "check_m", "check_budget",
+         "check_trials", "check_property_mr", "search_seed", "search_property",
+         "ld_check_seed", "verify_certificates_seed", "acceptance_seed"],
+)
+def test_removed_option_is_rejected(tmp_path, capsys, args):
+    path = _write(tmp_path, "good.txt", GOOD43)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([path if a == "{path}" else a for a in args])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_threads_option_is_rejected(tmp_path):

@@ -1105,11 +1105,6 @@ def test_search_on_the_packed_backend():
     ]
 
 
-def test_search_rejects_unknown_property():
-    with pytest.raises(WrongKindError):
-        exhaustive_code_search(4, 2, 3, prop="mds9")
-
-
 def _row_space_key(code):
     g, _ = rref(generator_matrix(code))
     return tuple(tuple(v.to_int() for v in row) for row in g.rows)
