@@ -28,7 +28,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .codes import (
     GENERIC_ORACLE_FIELD,
@@ -449,10 +449,20 @@ def _correctable_bits(hcol, hrow, m: int, n: int, ops) -> int:
     the backend's row operations: candidates are kept reduced against the
     current independent set, one that reduces to zero is dropped from the
     whole subtree, and a branch whose candidates cannot reach the rank is cut.
+
+    The last two columns of a basis take no row operation.  A kept candidate
+    is zero at the lead position of every column already chosen, so at depth
+    rank - 2 it is a nonzero vector on the two coordinates left, and two
+    candidates complete a basis iff those 2-vectors are not parallel.  So
+    each candidate gets one direction key, its entry at the second of those
+    coordinates over its entry at the first (None when that one is zero),
+    computed with one inverse and one product in the backend's encoding,
+    which is canonical; every pair whose keys differ is marked.  ``free``
+    holds the coordinates that are no chosen column's lead.
     """
     gcol, grow = null_basis(hcol, m, ops), null_basis(hrow, n, ops)
     rank = len(gcol) * len(grow)
-    mul = ops.mul
+    mul, inv = ops.mul, ops.inv
     columns = [
         [mul(u[r], v[c]) for u in gcol for v in grow]
         for r in range(m)
@@ -466,17 +476,23 @@ def _correctable_bits(hcol, hrow, m: int, n: int, ops) -> int:
         comp = full ^ basis
         marks[comp >> 3] |= 1 << (comp & 7)
 
-    def rec(mask, depth, cand):
-        if depth == rank - 1:
-            # every reduced candidate completes a basis
-            for j, _ in cand:
-                mark(mask | 1 << j)
+    def rec(mask, depth, free, cand):
+        if depth == rank - 2:
+            u, v = free
+            keys = [
+                (j, mul(col[v], inv(col[u])) if col[u] else None) for j, col in cand
+            ]
+            for pos, (j, key) in enumerate(keys):
+                pair = mask | 1 << j
+                for j2, key2 in keys[pos + 1 :]:
+                    if key != key2:
+                        mark(pair | 1 << j2)
             return
         for pos, (j, col) in enumerate(cand):
             if depth + len(cand) - pos < rank:
                 break
             lead = next(i for i, x in enumerate(col) if x)
-            top = ops.scale(col, ops.inv(col[lead]), lead)
+            top = ops.scale(col, inv(col[lead]), lead)
             survivors = []
             for j2, col2 in cand[pos + 1 :]:
                 if col2[lead]:
@@ -485,10 +501,15 @@ def _correctable_bits(hcol, hrow, m: int, n: int, ops) -> int:
                         continue
                 survivors.append((j2, col2))
             if depth + 1 + len(survivors) >= rank:
-                rec(mask | 1 << j, depth + 1, survivors)
+                rest = tuple(i for i in free if i != lead)
+                rec(mask | 1 << j, depth + 1, rest, survivors)
 
-    if rank:
-        rec(0, 0, [(j, col) for j, col in enumerate(columns) if any(col)])
+    nonzero = [(j, col) for j, col in enumerate(columns) if any(col)]
+    if rank >= 2:
+        rec(0, 0, tuple(range(rank)), nonzero)
+    elif rank:  # every nonzero column is a basis
+        for j, _ in nonzero:
+            mark(1 << j)
     else:
         mark(0)
     bits = int.from_bytes(marks, "little")
@@ -544,18 +565,40 @@ def _cols_rank(columns, idxs, ops) -> int:
     return len(eliminate([list(columns[j]) for j in idxs], ops)[0])
 
 
+def _decided_majority(families: Iterable[int], trials: int) -> int:
+    """``_majority`` of the ``trials`` ints that ``families`` yields, read
+    lazily: once one int has been yielded need = trials // 2 + 1 times it is
+    the majority, because its bits are set in at least need of the ints and
+    every other bit in at most trials - need < need, so the rest are never
+    read.  When no int reaches need, the vote is over all of them."""
+    need = trials // 2 + 1
+    counts: Dict[int, int] = {}
+    seen = []
+    for family in families:
+        counts[family] = counts.get(family, 0) + 1
+        if counts[family] == need:
+            return family
+        seen.append(family)
+    return _majority(seen)
+
+
 # majority-vote generic families, cached by shape; the oracle is seeded, so
 # every spec of the same shape shares one family, and the cache is bounded
 # because a family is one 2^(m*n)-bit int (128 KB at twenty cells)
 @functools.lru_cache(maxsize=8)
 def _generic_family(m, n, a, b, trials, seed) -> int:
+    """The majority over ``trials`` seeded random component codes of their
+    correctable families.  The trials draw in order from one
+    ``random.Random(seed)``, and the vote stops as soon as one family has
+    been produced trials // 2 + 1 times (see ``_decided_majority``), so
+    when the trials agree only that many run."""
     rng = random.Random(seed)
     ops = field_ops(GENERIC_ORACLE_FIELD)
-    families = [
+    families = (
         _correctable_bits(*_generic_checks(m, n, a, b, rng), m, n, ops)
         for _ in range(trials)
-    ]
-    return _majority(families)
+    )
+    return _decided_majority(families, trials)
 
 
 def mr_check(
@@ -624,13 +667,17 @@ def mr_check(
         )
         for i in range(trials)
     ]
+    need = trials // 2 + 1
     for _ in range(budget):
         idxs = _cells_of(rng.getrandbits(cells), cells)
         act = _cols_rank(act_cols, idxs, act_ops) == len(idxs)
-        votes = sum(
-            _cols_rank(cols, idxs, gen_ops) == len(idxs) for cols in gen_runs
-        )
-        gen = 2 * votes > trials
+        # the vote stops once it reaches need or can no longer reach it
+        votes = 0
+        for done, cols in enumerate(gen_runs, 1):
+            votes += _cols_rank(cols, idxs, gen_ops) == len(idxs)
+            if votes >= need or votes + trials - done < need:
+                break
+        gen = votes >= need
         if act != gen:
             pattern = ErasurePattern.from_indices(m, n, idxs)
             side = (

@@ -64,12 +64,68 @@ class ConstructionParams:
             raise WrongKindError(f"unknown construction {self.name!r}")
         if self.n < 1:
             raise SizeConstraintError("need n >= 1")
+        k = self.family_k
+        if self.name == "k4-general":
+            _check_k4(self.n, k)
+        elif self.name == "k5-weak":
+            _k5_degree(self.n, k, self.extension_degree)
+        elif self.name == "general-ell":
+            _general_degree(self.n, k, self.ell, self.per_level_degree)
+
+    @property
+    def family_k(self) -> Optional[int]:
+        """k, or the family's default when k is 0; the k3 families read no
+        k, so theirs defaults to None."""
+        return self.k or _DEFAULT_K.get(self.name)
+
+
+_DEFAULT_K = {"k4-general": 4, "k5-weak": 5, "general-ell": 2}
 
 
 @dataclass
 class BuildResult:
     code: CodeSpec
     provenance: Dict[str, object] = dc_field(default_factory=dict)
+
+
+# -- parameter ranges ------------------------------------------------------------------
+#
+# Each builder checks its own parameters.  ConstructionParams runs the same
+# checks when it is built, so a bad value is refused before any work starts.
+
+
+def _check_k4(n: int, k: int) -> None:
+    if k < 2:
+        raise SizeConstraintError("need k >= 2")
+    if n < k:
+        raise SizeConstraintError("need n >= k")
+
+
+def _k5_degree(n: int, k: int, extension_degree: Optional[int]) -> int:
+    """The extension degree of a k5-weak build, k^2 unless overridden."""
+    if not 2 <= k <= 5:
+        raise SizeConstraintError("need 2 <= k <= 5")
+    if n < k:
+        raise SizeConstraintError("need n >= k")
+    deg = extension_degree if extension_degree is not None else k * k
+    # the points a*x - a^2 need x outside the base field
+    if deg < 2:
+        raise SizeConstraintError("need an extension of degree at least 2")
+    return deg
+
+
+def _general_degree(n: int, k: int, ell: int, per_level_degree: Optional[int]) -> int:
+    """The per-level degree of a general-ell build, ell*k^2 unless
+    overridden, at least the safe floor ell*k*(k-1) + 1."""
+    if not (n >= k >= 1):
+        raise SizeConstraintError("need n >= k >= 1")
+    if ell < 1:
+        raise SizeConstraintError("need ell >= 1")
+    floor = ell * k * (k - 1) + 1
+    D = per_level_degree if per_level_degree is not None else ell * k * k
+    if D < floor:
+        raise SizeConstraintError(f"per-level degree {D} below the safe floor {floor}")
+    return D
 
 
 # -- small numeric helpers -------------------------------------------------------------
@@ -236,10 +292,7 @@ def build_k3_n3(n: int) -> BuildResult:
 def build_k4(n: int, k: int = 4) -> BuildResult:
     """[n,k] code on points gamma*a - a^2 over a degree-(2k-1) extension;
     the base characteristic must be at least k."""
-    if k < 2:
-        raise SizeConstraintError("need k >= 2")
-    if n < k:
-        raise SizeConstraintError("need n >= k")
+    _check_k4(n, k)
     q, p, e = next(t for t in _prime_powers_from(n) if t[1] >= k)
     assert p >= k
     base = field_of_order(q)
@@ -272,14 +325,7 @@ def build_k5_weak(
 ) -> BuildResult:
     """[n,k] code on points a*x - a^2 where the a's form a Sidon set and
     x generates a degree-k^2 extension (degree overridable)."""
-    if not 2 <= k <= 5:
-        raise SizeConstraintError("need 2 <= k <= 5")
-    if n < k:
-        raise SizeConstraintError("need n >= k")
-    deg = extension_degree if extension_degree is not None else k * k
-    # the points a*x - a^2 need x outside the base field
-    if deg < 2:
-        raise SizeConstraintError("need an extension of degree at least 2")
+    deg = _k5_degree(n, k, extension_degree)
     prov: Dict[str, object] = {"construction": "k5-weak", "n": n, "k": k}
     if char2_bch:
         # columns (a, a^3) of a distance-5 parity check, packed into the
@@ -343,17 +389,8 @@ def build_general(
 ) -> BuildResult:
     """[n,k] code whose points are tower-generator combinations
     sum_j b_i^(j-1) * g_j over an ell*k-level binomial chain."""
-    if not (n >= k >= 1):
-        raise SizeConstraintError("need n >= k >= 1")
-    if ell < 1:
-        raise SizeConstraintError("need ell >= 1")
+    D = _general_degree(n, k, ell, per_level_degree)
     levels = ell * k
-    floor = ell * k * (k - 1) + 1
-    D = per_level_degree if per_level_degree is not None else ell * k * k
-    if D < floor:
-        raise SizeConstraintError(
-            f"per-level degree {D} below the safe floor {floor}"
-        )
     if D**levels > coeff_budget:
         raise BudgetExceededError(
             f"tower dimension {D}^{levels} exceeds the coefficient budget"
@@ -403,15 +440,13 @@ def build_general(
 
 def construct(params: ConstructionParams) -> BuildResult:
     """Dispatch on the family name; k=0 selects the family default."""
-    name, n, k = params.name, params.n, params.k
+    name, n, k = params.name, params.n, params.family_k
     if name == "k3-n4":
         return build_k3_n4(n)
     if name == "k3-n3":
         return build_k3_n3(n)
     if name == "k4-general":
-        return build_k4(n, k or 4)
+        return build_k4(n, k)
     if name == "k5-weak":
-        return build_k5_weak(n, k or 5, params.extension_degree)
-    return build_general(
-        n, k or 2, params.ell, params.per_level_degree
-    )
+        return build_k5_weak(n, k, params.extension_degree)
+    return build_general(n, k, params.ell, params.per_level_degree)

@@ -1,8 +1,11 @@
-"""FieldOps: an elimination backend whose entries are FieldElements.
+"""Test backends.
 
-It computes with FieldElement arithmetic, independently of the integer
-and level backends that ``field_ops`` picks, so the tests compare every
-backend's elimination and polynomial arithmetic against it.
+FieldOps is an elimination backend whose entries are FieldElements.  It
+computes with FieldElement arithmetic, independently of the integer and
+level backends that ``field_ops`` picks, so the tests compare every
+backend's elimination and polynomial arithmetic against it.  CountingOps
+wraps any backend and counts its calls, so the tests can pin the work an
+algorithm does.
 """
 
 import operator
@@ -43,3 +46,26 @@ class FieldOps:
             if row[j]:
                 out[j] = c * row[j]
         return out
+
+
+class CountingOps:
+    """Wraps a backend and counts the calls of its field and row
+    operations; every other attribute is the backend's own."""
+
+    COUNTED = ("mul", "inv", "scale", "sub_multiple")
+
+    def __init__(self, ops):
+        self._ops = ops
+        self.calls = dict.fromkeys(self.COUNTED, 0)
+        for name in self.COUNTED:
+            setattr(self, name, self._counted(name, getattr(ops, name)))
+
+    def _counted(self, name, fn):
+        def call(*args):
+            self.calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    def __getattr__(self, name):
+        return getattr(self._ops, name)

@@ -12,7 +12,9 @@ from mdskit.applications import (
     TensorCodeSpec,
     _actual_checks,
     _cells_of,
+    _cols_rank,
     _correctable_bits,
+    _decided_majority,
     _first_pattern,
     _generic_checks,
     _generic_family,
@@ -43,6 +45,7 @@ from mdskit.errors import (
 from mdskit.fields import field_make, field_of_order
 from mdskit.linalg import MatrixF, TableOps, field_ops, rank
 from mdskit.mdscheck import is_mds, is_mds_ell
+from reference_ops import CountingOps
 
 F2 = field_make(2, [])
 F3 = field_make(3, [])
@@ -806,3 +809,150 @@ def test_mr_matches_mds_order_m4(field):
             assert "mode=exhaustive" in r.detail
             assert r.ok == verdict
             seen.add(verdict)
+
+
+def _counted(families, consumed):
+    for family in families:
+        consumed.append(family)
+        yield family
+
+
+@pytest.mark.parametrize("trials", range(7))
+def test_decided_majority_reads_need_agreeing_families(trials):
+    family = 0b1011_0110
+    consumed = []
+    got = _decided_majority(_counted([family] * trials, consumed), trials)
+    assert got == _majority([family] * trials)
+    assert len(consumed) == min(trials // 2 + 1, trials)
+
+
+@pytest.mark.parametrize("trials", range(7))
+def test_decided_majority_matches_majority_on_disagreeing_families(trials):
+    # the GF(2) families of test_majority_matches_dict_vote, which disagree
+    rng = random.Random(trials)
+    ops = field_ops(F2)
+    col = single_parity_code(F2, 2)
+    families = []
+    for _ in range(trials):
+        spec = TensorCodeSpec(col, _random_code(rng, F2, 2, 4, 2))
+        checks = _actual_checks(spec, ops)
+        families.append(_correctable_bits(*checks, 2, 4, ops))
+    assert _decided_majority(iter(families), trials) == _majority(families)
+
+
+def test_generic_family_runs_need_trials_when_they_agree(monkeypatch):
+    # at the shape of the search workload's mr_check jobs the trials agree,
+    # so 3 of 5 run; 3 of 4 as well, and every one of 1
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return _correctable_bits(*args)
+
+    monkeypatch.setattr(applications, "_correctable_bits", counted)
+    for trials, want in ((5, 3), (4, 3), (1, 1)):
+        _generic_family.cache_clear()
+        runs.clear()
+        _generic_family(3, 5, 1, 2, trials, 0)
+        assert len(runs) == want
+    _generic_family.cache_clear()
+
+
+F3_REPEATED = explicit_code(F3, [[1, 0, 1, 1], [0, 1, 0, 2]])  # col 2 = col 0
+
+
+@pytest.mark.parametrize(
+    "field, backend, col_m, row",
+    [
+        (F5, "TableOps", 2, lambda f, rng: _random_code(rng, f, 5, 4, 2)),
+        (F3, "TableOps", 3, lambda f, rng: F3_REPEATED),
+        (field_make(11, [2]), "PackedOps", 3, lambda f, rng: _random_code(rng, f, 121, 4, 2)),
+        (field_make(67), "ModPOps", 2, lambda f, rng: _random_code(rng, f, 67, 4, 2)),
+        (field_make(3, [2, 2]), "LevelOps", 3, lambda f, rng: _random_code(rng, f, 81, 4, 2)),
+        (field_make(2, [2, 2, 2, 2]), "LevelOps", 2,
+         lambda f, rng: _random_code(rng, f, 1 << 16, 4, 2)),
+    ],
+    ids=["rank2_gf5", "repeated_gf3", "packed_gf121", "modp_gf67", "level_gf81",
+         "level_gf65536"],
+)
+def test_pair_step_matches_reference_on_every_backend(field, backend, col_m, row):
+    # the last two basis columns come from non-parallel pairs; repeated
+    # columns, a repetition column code and repeated rows of the row code
+    # give the pair step parallel residuals
+    ops = field_ops(field)
+    assert type(ops).__name__ == backend
+    rng = random.Random(field.order)
+    o = field.one
+    for col in (single_parity_code(field, col_m), explicit_code(field, [[o] * col_m])):
+        for _ in range(2):
+            spec = TensorCodeSpec(col, row(field, rng))
+            m, n = spec.m, spec.n
+            checks = _actual_checks(spec, ops)
+            want = _reference_family(_parity_columns(*checks, m, n, ops), ops)
+            assert _correctable_bits(*checks, m, n, ops) == _as_bits(want)
+    # a row code whose columns come in parallel pairs
+    g = generator_matrix(row(field, rng)).rows
+    doubled = explicit_code(field, [list(r) + [x * (o + o) for x in r] for r in g])
+    spec = TensorCodeSpec(single_parity_code(field, 2), doubled)
+    checks = _actual_checks(spec, ops)
+    want = _reference_family(_parity_columns(*checks, 2, spec.n, ops), ops)
+    assert _correctable_bits(*checks, 2, spec.n, ops) == _as_bits(want)
+
+
+def test_pair_step_takes_no_row_operation_at_rank_two():
+    # rank (m - a)(n - b) = 2: the basis search is the pair step alone, so
+    # every scale and sub_multiple call belongs to the two null bases
+    ops = CountingOps(field_ops(F5))
+    spec = TensorCodeSpec(single_parity_code(F5, 2), _rs(F5, 4, 2))
+    checks = _actual_checks(spec, ops)
+    _correctable_bits(*checks, 2, 4, ops)
+    bases = CountingOps(field_ops(F5))
+    applications.null_basis(checks[0], 2, bases)
+    applications.null_basis(checks[1], 4, bases)
+    for name in ("scale", "sub_multiple"):
+        assert ops.calls[name] == bases.calls[name]
+    # one inverse per candidate with a nonzero first coordinate, at most 8
+    assert ops.calls["inv"] - bases.calls["inv"] <= 8
+
+
+def _sampled_all_trials(spec, budget, trials, seed):
+    """mr_check's sampled mode with every trial voting on every pattern:
+    (ok, detail)."""
+    m, n, a, b = spec.m, spec.n, spec.a, spec.b
+    cells = m * n
+    ops, gen_ops = field_ops(spec.row_code.field), field_ops(GENERIC_ORACLE_FIELD)
+    act_cols = _parity_columns(*_actual_checks(spec, ops), m, n, ops)
+    gen_runs = [
+        _parity_columns(
+            *_generic_checks(m, n, a, b, random.Random(seed + 1 + i)), m, n, gen_ops
+        )
+        for i in range(trials)
+    ]
+    rng = random.Random(seed)
+    for _ in range(budget):
+        idxs = _cells_of(rng.getrandbits(cells), cells)
+        act = _cols_rank(act_cols, idxs, ops) == len(idxs)
+        votes = sum(_cols_rank(cols, idxs, gen_ops) == len(idxs) for cols in gen_runs)
+        gen = 2 * votes > trials
+        if act != gen:
+            side = (
+                "correctable generically but not by this code"
+                if gen
+                else "correctable by this code but not generically"
+            )
+            pattern = ErasurePattern.from_indices(m, n, idxs).format() or "(empty)"
+            return False, f"mode=sampled {budget}/{2**cells}; pattern {pattern} {side}"
+    return True, f"mode=sampled; {budget} of {2**cells} patterns agree"
+
+
+@pytest.mark.parametrize("budget, seed", [(40, 0), (150, 3), (400, 7)])
+@pytest.mark.parametrize("trials", [1, 2, 4, 5])
+def test_sampled_vote_matches_all_trials_vote(budget, seed, trials):
+    bad = explicit_code(F5, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 0, 0]])
+    verdicts = set()
+    for row in (_rs(F5, 5, 3), bad):
+        spec = _spec_3x5(row)
+        r = mr_check(spec, budget=budget, trials=trials, seed=seed)
+        assert (r.ok, r.detail) == _sampled_all_trials(spec, budget, trials, seed)
+        verdicts.add(r.ok)
+    assert verdicts == {True, False}

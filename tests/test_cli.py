@@ -115,13 +115,36 @@ def test_construct_unwritable_out_exits_2(capsys):
 
 
 def test_construct_failure_exits_1(capsys):
-    # per-level degree below the tower's safe floor
+    # the 16^8-coefficient tower exceeds the builder's coefficient budget
     rc = cli.main(
         ["construct", "--name", "general-ell", "--n", "6", "--k", "2",
-         "--ell", "2", "--degree", "1"]
+         "--ell", "4"]
     )
     assert rc == 1
     assert "construction failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--name", "k4-general", "--n", "8", "--k", "-1"], "need k >= 2"),
+        (["--name", "k5-weak", "--n", "5", "--degree", "0"],
+         "need an extension of degree at least 2"),
+        (["--name", "general-ell", "--n", "4", "--k", "2", "--ell", "0"],
+         "need ell >= 1"),
+        (["--name", "k4-general", "--n", "3"], "need n >= k"),
+        (["--name", "general-ell", "--n", "6", "--k", "2", "--ell", "2",
+          "--degree", "1"], "per-level degree 1 below the safe floor 5"),
+    ],
+    ids=["k4_negative_k", "k5_degree_zero", "general_ell_zero", "k4_n_below_k",
+         "general_degree_below_floor"],
+)
+def test_construct_out_of_range_parameter_exits_2(capsys, args, message):
+    rc = cli.main(["construct"] + args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"mdskit construct: {message}\n"
 
 
 # -- check -----------------------------------------------------------------------
