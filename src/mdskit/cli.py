@@ -107,7 +107,7 @@ def _cmd_construct(args) -> int:
         params = ConstructionParams(
             name=args.name,
             n=args.n,
-            k=args.k or 0,
+            k=args.k,
             ell=3 if args.ell is None else args.ell,
             extension_degree=args.degree if args.name == "k5-weak" else None,
             per_level_degree=args.degree if args.name == "general-ell" else None,
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", parents=[common], help="build a code family member")
     p.add_argument("--name", required=True, choices=CONSTRUCTION_NAMES)
     p.add_argument("--n", type=int, required=True, help="code length")
-    p.add_argument("--k", type=int, default=None, help="dimension (0 = family default)")
+    p.add_argument("--k", type=int, default=None, help="dimension")
     p.add_argument("--ell", type=int, default=None, help="intersection order (default 3)")
     p.add_argument(
         "--degree",

@@ -209,7 +209,7 @@ def generically_zero(tup: SetTuple) -> bool:
 
     True iff every partition of the tuple positions into blocks P_1..P_s
     satisfies sum_i |intersection over P_i| <= (s-1)k.  For three sets this
-    reduces to the test of ``mdscheck._filter_and_strip``: the triple
+    reduces to the test ``mdscheck._mds3_triples`` runs: the triple
     intersection is empty, and for each pair |A_i & A_j| + |A_m| <= k.
     """
     _check_tuple_sizes(tup)

@@ -54,7 +54,7 @@ CONSTRUCTION_NAMES = ("k3-n4", "k3-n3", "k4-general", "k5-weak", "general-ell")
 class ConstructionParams:
     name: str
     n: int
-    k: int = 0  # 0 means the family default
+    k: Optional[int] = None  # None means the family default
     ell: int = 3
     extension_degree: Optional[int] = None
     per_level_degree: Optional[int] = None
@@ -74,9 +74,9 @@ class ConstructionParams:
 
     @property
     def family_k(self) -> Optional[int]:
-        """k, or the family's default when k is 0; the k3 families read no
-        k, so theirs defaults to None."""
-        return self.k or _DEFAULT_K.get(self.name)
+        """k, or the family's default when k is None; the k3 families read
+        no k, so theirs defaults to None."""
+        return _DEFAULT_K.get(self.name) if self.k is None else self.k
 
 
 _DEFAULT_K = {"k4-general": 4, "k5-weak": 5, "general-ell": 2}
@@ -439,7 +439,7 @@ def build_general(
 
 
 def construct(params: ConstructionParams) -> BuildResult:
-    """Dispatch on the family name; k=0 selects the family default."""
+    """Dispatch on the family name; k=None selects the family default."""
     name, n, k = params.name, params.n, params.family_k
     if name == "k3-n4":
         return build_k3_n4(n)

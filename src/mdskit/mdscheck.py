@@ -13,8 +13,9 @@ code's generators) encoded once.  Decision paths implemented here:
   predicate, and decides each by the span-intersection certificate: the
   k x k stack of the sets' normal vectors, cached per set, must be
   nonsingular.  For three sets the enumeration is reduced to sizes <= k-1
-  after an MDS precheck, and the triples come from ``_mds3_triples``: one
-  that its weak reduction settles is counted without a certificate; every
+  after an MDS precheck, and the triples come from ``_mds3_triples``, one
+  pass that enumerates, filters and weakly reduces them: a triple its weak
+  reduction settles is counted without a certificate, and every
   certificate is decided by ``_det_nonzero``.
   ``linalg.block_mds_matrix``, the (ell k) x (ell k) block certificate, is
   the reference the tests compare it with.
@@ -203,24 +204,23 @@ def weak_reduce(tup: SetTuple) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
     return tuple(tuple(x for x in a if x not in shared) for a in tup.sets), tup.k - len(shared)
 
 
-class _BitMasks(dict):
-    """Index set -> bit mask, computed on first use."""
+def _mds3_triples(n: int, k: int):
+    """Each canonical triple of sizes up to k-1 that the generic-zero filter
+    keeps, as (sets, (k2, reduced)); every MDS(3) triple loop reads it.
 
-    def __missing__(self, a: Tuple[int, ...]) -> int:
-        mask = self[a] = sum(1 << x for x in a)
-        return mask
-
-
-def _filter_and_strip(sets: Sequence[Tuple[int, ...]], k: int, masks: _BitMasks):
-    """The generic-zero filter and the weak reduction of a triple in one
-    pass over the bit masks of its pairwise intersections.
-
-    None when the filter rejects the triple.  Otherwise the reduced
-    dimension k2 of ``weak_reduce`` (once the filter passes, the triple
+    The triples come in ``_canonical_tuples(n, k, 3, k - 1)`` order, and
+    the filter and the weak reduction run in the same loop on the sets' bit
+    masks: a pair (A1, A2) whose intersection fails the filter's
+    |A1 & A2| + |A3| <= k is skipped with every third set.  k2 is the
+    reduced dimension of ``weak_reduce`` (once the filter passes, the triple
     intersection is empty, so each shared element lies in exactly two sets
-    and lowers k by one) and its disjoint sets, or None in place of the sets
-    when the triple is settled: k2 <= 0, or a reduced set has k2 or more
-    columns.  In an MDS code a settled triple's spans meet only in zero:
+    and lowers k by one) and reduced its disjoint sets, or None when the
+    triple is settled: k2 <= 0, or a reduced set has k2 or more columns.
+    Set i keeps |A_i| - c_ij - c_il columns and k2 = k - c12 - c13 - c23,
+    so that reads c_jl + |A_i| >= k: the filter's bound for set i is tight.
+    The reduced sizes sum to 2 k2, so k2 <= 0 means k2 = 0 with every
+    reduced set empty, one of these.  In an MDS code a settled triple's
+    spans meet only in zero:
 
     Let S be the shared columns, the union of the disjoint S_ij = A_i & A_j.
     The filter gives |S_12| + |A_3| <= k, and A_3 holds S_13 and S_23, so
@@ -236,35 +236,38 @@ def _filter_and_strip(sets: Sequence[Tuple[int, ...]], k: int, masks: _BitMasks)
     k = 3 this settles every triple with a shared column, so only pairwise
     disjoint triples need a determinant.
     """
-    a1, a2, a3 = sets
-    m1, m2, m3 = masks[a1], masks[a2], masks[a3]
-    i12, i13, i23 = m1 & m2, m1 & m3, m2 & m3
-    if i12 & m3:
-        return None
-    c12, c13, c23 = i12.bit_count(), i13.bit_count(), i23.bit_count()
-    if c12 + len(a3) > k or c13 + len(a2) > k or c23 + len(a1) > k:
-        return None
-    k2 = k - c12 - c13 - c23
-    if (
-        k2 <= 0
-        or len(a1) - c12 - c13 >= k2
-        or len(a2) - c12 - c23 >= k2
-        or len(a3) - c13 - c23 >= k2
-    ):
-        return k2, None
-    shared = i12 | i13 | i23
-    return k2, tuple(tuple(x for x in a if not shared >> x & 1) for a in sets)
-
-
-def _mds3_triples(n: int, k: int):
-    """Each canonical triple of sizes up to k-1 that the generic-zero filter
-    keeps, as (sets, (k2, reduced)) with its ``_filter_and_strip`` outcome
-    (reduced None when settled); every MDS(3) triple loop reads it."""
-    masks = _BitMasks()
-    for sets in _canonical_tuples(n, k, 3, k - 1):
-        got = _filter_and_strip(sets, k, masks)
-        if got is not None:
-            yield sets, got
+    cap = min(k - 1, n)
+    pools = [
+        [(a, sum(1 << x for x in a)) for a in itertools.combinations(range(n), s)]
+        for s in range(cap + 1)
+    ]
+    for s1, s2, s3 in _nondecreasing_profiles(2 * k, 3, cap):
+        p2, p3 = pools[s2], pools[s3]
+        top12, top13, top23 = k - s3, k - s2, k - s1
+        for i, (a1, m1) in enumerate(pools[s1]):
+            for j in range(i if s2 == s1 else 0, len(p2)):
+                a2, m2 = p2[j]
+                i12 = m1 & m2
+                c12 = i12.bit_count()
+                if c12 > top12:
+                    continue
+                for a3, m3 in p3[j:] if s3 == s2 else p3:
+                    if i12 & m3:
+                        continue
+                    i13, i23 = m1 & m3, m2 & m3
+                    c13, c23 = i13.bit_count(), i23.bit_count()
+                    if c13 > top13 or c23 > top23:
+                        continue
+                    k2 = k - c12 - c13 - c23
+                    sets = (a1, a2, a3)
+                    if c12 == top12 or c13 == top13 or c23 == top23:
+                        yield sets, (k2, None)
+                    else:
+                        shared = i12 | i13 | i23
+                        reduced = tuple(
+                            tuple(x for x in a if not shared >> x & 1) for a in sets
+                        )
+                        yield sets, (k2, reduced)
 
 
 def _mds3_count(n: int, k: int) -> int:

@@ -128,6 +128,7 @@ def test_construct_failure_exits_1(capsys):
     "args, message",
     [
         (["--name", "k4-general", "--n", "8", "--k", "-1"], "need k >= 2"),
+        (["--name", "k4-general", "--n", "8", "--k", "0"], "need k >= 2"),
         (["--name", "k5-weak", "--n", "5", "--degree", "0"],
          "need an extension of degree at least 2"),
         (["--name", "general-ell", "--n", "4", "--k", "2", "--ell", "0"],
@@ -136,8 +137,8 @@ def test_construct_failure_exits_1(capsys):
         (["--name", "general-ell", "--n", "6", "--k", "2", "--ell", "2",
           "--degree", "1"], "per-level degree 1 below the safe floor 5"),
     ],
-    ids=["k4_negative_k", "k5_degree_zero", "general_ell_zero", "k4_n_below_k",
-         "general_degree_below_floor"],
+    ids=["k4_negative_k", "k4_zero_k", "k5_degree_zero", "general_ell_zero",
+         "k4_n_below_k", "general_degree_below_floor"],
 )
 def test_construct_out_of_range_parameter_exits_2(capsys, args, message):
     rc = cli.main(["construct"] + args)
@@ -145,6 +146,14 @@ def test_construct_out_of_range_parameter_exits_2(capsys, args, message):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"mdskit construct: {message}\n"
+
+
+def test_construct_without_k_takes_the_family_default(tmp_path):
+    out = str(tmp_path / "k4.txt")
+    rc = cli.main(["construct", "--name", "k4-general", "--n", "8", "--out", out])
+    assert rc == 0
+    with open(out, encoding="utf-8") as fh:
+        assert "code n=8 k=4 " in fh.read()
 
 
 # -- check -----------------------------------------------------------------------

@@ -266,6 +266,7 @@ def test_dispatch():
     "params, build",
     [
         (dict(name="k4-general", n=8, k=-1), lambda: build_k4(8, -1)),
+        (dict(name="k4-general", n=8, k=0), lambda: build_k4(8, 0)),
         (dict(name="k4-general", n=3), lambda: build_k4(3)),
         (dict(name="k5-weak", n=5, k=6), lambda: build_k5_weak(5, 6)),
         (dict(name="k5-weak", n=5, extension_degree=0),
@@ -275,8 +276,8 @@ def test_dispatch():
         (dict(name="general-ell", n=4, k=2, ell=2, per_level_degree=4),
          lambda: build_general(4, 2, 2, per_level_degree=4)),
     ],
-    ids=["k4_k", "k4_n", "k5_k", "k5_degree", "general_ell", "general_n",
-         "general_degree"],
+    ids=["k4_k", "k4_k_zero", "k4_n", "k5_k", "k5_degree", "general_ell",
+         "general_n", "general_degree"],
 )
 def test_out_of_range_parameters_refused_by_params_and_builder(params, build):
     # the params refuse the value before any work; the builder still does

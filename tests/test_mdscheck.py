@@ -48,10 +48,8 @@ from mdskit.linalg import (
 from mdskit import mdscheck
 from mdskit.mdscheck import (
     CheckReport,
-    _BitMasks,
     _canonical_tuples,
     _det_nonzero,
-    _filter_and_strip,
     _first_intersecting,
     _mds3_configs,
     _mds3_count,
@@ -370,7 +368,7 @@ def test_is_mds_ell_skips_only_settled_triples(q):
     """Random explicit [6, 3] and [7, 3] MDS codes, not Reed-Solomon, on
     index tables (GF(16)), ints mod p (GF(67)), packed ints (GF(243)) and
     the level backend (the (2, 3) tower GF(3^6)).  is_mds_ell(., 3)
-    counts every filtered triple but certifies only those _filter_and_strip
+    counts every filtered triple but certifies only those _mds3_triples
     leaves open; its verdict, count and witness must equal the reference,
     which certifies every triple.  The planted [7, 3] code fails at a
     disjoint triple that comes after settled ones, so skipped triples are
@@ -390,7 +388,7 @@ def test_is_mds_ell_skips_only_settled_triples(q):
 
 
 def test_settled_triples_never_meet_on_random_mds_codes():
-    """The lemma in _filter_and_strip's docstring: in an MDS code the
+    """The lemma in _mds3_triples' docstring: in an MDS code the
     column spans of every triple it settles meet only in zero, whether or
     not the code is MDS(3).  Most of these codes over GF(67) fail MDS(3),
     so other triples do meet.  Each code checks a sample of 300 of its
@@ -596,22 +594,24 @@ def _iterative_weak_reduce(sets, k):
             return tuple(tuple(sorted(s)) for s in sets), k
 
 
-@pytest.mark.parametrize("n,k", [(6, 3), (7, 4), (7, 5), (7, 6)])
-def test_filter_and_strip_matches_filter_then_weak_reduce(n, k):
-    """On every canonical triple of sizes up to k - 1: None exactly when the
-    generic-zero filter rejects; otherwise the iterative reduction's
-    dimension, and its sets unless one of them has k2 or more elements or
-    k2 <= 0 (then None in their place)."""
-    masks = _BitMasks()
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in range(3, 9) for k in range(3, n + 1)] + [(9, 4)]
+)
+def test_mds3_triples_match_filter_then_weak_reduce(n, k):
+    """The stream is the canonical triples of sizes up to k - 1 that the
+    generic-zero filter keeps, in order, each with the iterative
+    reduction's dimension and its sets, or None in place of the sets when
+    one of them has k2 or more elements or k2 <= 0."""
+    want = []
     for sets in _canonical_tuples(n, k, 3, k - 1):
-        got = _filter_and_strip(sets, k, masks)
-        if not generically_zero(SetTuple(sets, n, k)):
-            assert got is None
+        tup = SetTuple(sets, n, k)
+        if not generically_zero(tup):
             continue
         reduced, k2 = _iterative_weak_reduce(sets, k)
-        assert weak_reduce(SetTuple(sets, n, k)) == (reduced, k2)
+        assert weak_reduce(tup) == (reduced, k2)
         trivial = k2 <= 0 or any(len(s) >= k2 for s in reduced)
-        assert got == (k2, None if trivial else reduced)
+        want.append((sets, (k2, None if trivial else reduced)))
+    assert list(_mds3_triples(n, k)) == want
 
 
 # -- the equivalence triangle: fast path == block path == int-Gaussian oracle --------
@@ -1361,14 +1361,14 @@ def test_search_builds_no_triple_list_without_a_normalized_block(monkeypatch):
     # the list of open triples is enumerated when the first block reaches
     # the certificate, so (6, 4, 4), with no normalized block, never builds it
     calls = []
-    real = mdscheck._canonical_tuples
+    real = mdscheck._mds3_triples
     monkeypatch.setattr(
-        mdscheck, "_canonical_tuples", lambda *args: calls.append(args) or real(*args)
+        mdscheck, "_mds3_triples", lambda *args: calls.append(args) or real(*args)
     )
     assert exhaustive_code_search(6, 4, 4).blocks == 0
     assert calls == []
     assert exhaustive_code_search(5, 3, 5).blocks == 6
-    assert calls == [(5, 3, 3, 2)]
+    assert calls == [(5, 3)]
 
 
 def test_search_reports_normalized_blocks_certified():
