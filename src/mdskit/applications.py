@@ -181,52 +181,77 @@ def _syndromes(code: CodeSpec, w_max: int):
                         yield supp, vals + (v,), sub(s, col, f, 0)
 
 
-def _ld_single(code: CodeSpec, ell: int):
-    """One list size: (ok, vectors, vectors walked, failure detail).
+def _ld_sweep(code: CodeSpec, sizes: Sequence[int]):
+    """Decide every list size in ``sizes`` in one sweep:
+    ({size: (ok, vectors, failure detail)}, vectors walked).
 
-    ``vectors`` is the weight-bounded count a full sweep would enumerate;
-    the sweep stops early once every syndrome class is decided.  A bucket
-    holding ell+1 arrivals whose total weight exceeds ell*(n-k) is decided:
-    later arrivals skip it, so it can never fail.  There are q^(n-k)
-    syndromes, so once that many classes are decided no later vector can
-    fail the check (H has full rank, so every class is reached).  The
-    argument uses no MDS(ell) fact."""
+    Size ell fails iff ell+1 distinct vectors share a syndrome with total
+    weight at most ell*(n-k).  The sweep reads ``_syndromes`` up to the
+    largest size's weight once; size ell reads its prefix up to weight
+    ell*(n-k).  Its ``vectors`` is that prefix's length when it passes and
+    the position of its failing vector when it fails.  Each bucket
+    holds its syndrome's first max(sizes)+1 arrivals, the minimum-total
+    choice since weights ascend, so its (ell+1)-th arrival decides it for
+    size ell: the size fails if the total weight is at most ell*(n-k),
+    else later arrivals can never fail it there.  A size ends at its first
+    failing bucket, once all q^(n-k) syndrome classes are decided for it
+    (H has full rank, so every class is reached), or where the stream
+    passes its weight.  The sweep stops once every size below the smallest
+    failed one has ended, so a larger size failing first never pre-empts a
+    smaller one failing later.  The argument uses no MDS(ell) fact."""
     n, k = code.n, code.k
     if k == n:
         # weight budget ell*(n-k) = 0: only the zero vector qualifies
-        return True, 1, 0, None
+        return dict.fromkeys(sizes, (True, 1, None)), 0
     if k == 0:
         # the syndrome map is injective, buckets are singletons
-        return True, 0, 0, None
-    w_max = ell * (n - k)
-    q = code.field.order
-    count = _weight_bounded_count(n, q, w_max)
-    # buckets hold the first ell+1 arrivals; weight-ascending enumeration
-    # makes those the minimum-total choice, so each bucket is decided once
-    buckets: Dict[tuple, List[Tuple[int, Tuple[int, ...]]]] = {}
-    undecided = q ** (n - k)
-    for seen, (supp, vals, syn) in enumerate(_syndromes(code, w_max), 1):
-        best = buckets.setdefault(tuple(syn), [])
-        if len(best) > ell:
-            continue
-        vec = [0] * n
-        for p, v in zip(supp, vals):
-            vec[p] = v
-        best.append((len(supp), tuple(vec)))
-        if len(best) == ell + 1:
-            total = sum(b[0] for b in best)
-            if total <= w_max:
-                vecs = " | ".join(str(b[1]) for b in best)
-                detail = (
-                    f"list size {ell}: {ell + 1} distinct vectors share "
-                    f"a syndrome with total weight {total} <= {w_max}: "
-                    f"{vecs}"
+        return dict.fromkeys(sizes, (True, 0, None)), 0
+    r, q = n - k, code.field.order
+    ends = {ell: _weight_bounded_count(n, q, ell * r) for ell in sizes}
+    undecided = dict.fromkeys(sizes, q**r)
+    results: Dict[int, tuple] = {}
+    running, top = set(sizes), max(sizes)
+    buckets: Dict[tuple, list] = {}
+    stream = _syndromes(code, top * r)
+    walked = 0
+    for end in sorted(set(ends.values())):
+        for seen, (supp, vals, syn) in enumerate(
+            itertools.islice(stream, end - walked), walked + 1
+        ):
+            best = buckets.setdefault(tuple(syn), [])
+            ell = len(best)
+            if ell > top:
+                continue
+            best.append((supp, vals))
+            if ell not in running:
+                continue
+            total = sum(len(s) for s, _ in best)
+            if total <= ell * r:
+                vecs = " | ".join(
+                    str(tuple(dict(zip(s, v)).get(p, 0) for p in range(n)))
+                    for s, v in best
                 )
-                return False, seen, seen, detail
-            undecided -= 1
-            if not undecided:
-                return True, count, seen, None
-    return True, seen, seen, None
+                results[ell] = False, seen, (
+                    f"list size {ell}: {ell + 1} distinct vectors share "
+                    f"a syndrome with total weight {total} <= {ell * r}: {vecs}"
+                )
+                running = {s for s in running if s < ell}
+            else:
+                undecided[ell] -= 1
+                if undecided[ell]:
+                    continue
+                results[ell] = True, ends[ell], None
+                running.discard(ell)
+            if not running:
+                return results, seen
+            top = max(running)
+        walked = end
+        for ell in [s for s in running if ends[s] == end]:
+            results[ell] = True, end, None
+            running.discard(ell)
+        if not running:
+            break
+    return results, walked
 
 
 def ld_mds_check(
@@ -235,14 +260,15 @@ def ld_mds_check(
     """Decide average-radius list decodability at list size L.
 
     Fails iff L+1 distinct vectors share a syndrome of the code's parity
-    check with total weight at most L*(n-k); the search enumerates vectors
-    in weight-ascending order and buckets them by syndrome, and a passing
-    sweep stops once every syndrome class holds L+1 vectors too heavy to
-    fail (see ``_ld_single``), reporting the full sweep's count as tuples.
-    With up_to=True the property is required at every list size 1..L, and
-    every size's count is held to the budget before the first sweep.
-    ``evaluated`` counts the vectors whose syndrome was computed.  Vector
-    entries in failure details are canonical element indices.
+    check with total weight at most L*(n-k).  With up_to=True the property
+    is required at every list size 1..L.  One weight-ascending sweep up to
+    weight L*(n-k) serves every size (see ``_ld_sweep``): a passing size
+    stops once every syndrome class holds ell+1 vectors too heavy to fail,
+    and reports its full prefix's count.  ``tuples`` is the sum of those
+    per-size counts up to the first failing size, and ``evaluated`` counts
+    the vectors the one sweep walked.  Every size's count is held to the
+    budget before the sweep starts.  Vector entries in failure details are
+    canonical element indices.
     """
     t0 = time.perf_counter()
     if L < 1:
@@ -256,11 +282,11 @@ def ld_mds_check(
             raise BudgetExceededError(
                 f"{count} weight-bounded vectors exceed budget {budget}"
             )
-    total = walked = 0
+    results, walked = _ld_sweep(code, sizes)
+    total = 0
     for ell in sizes:
-        ok, seen, swept, detail = _ld_single(code, ell)
+        ok, seen, detail = results[ell]
         total += seen
-        walked += swept
         if not ok:
             return _report(prop, False, total, t0, detail=detail, evaluated=walked)
     return _report(prop, True, total, t0, evaluated=walked)

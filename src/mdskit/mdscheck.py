@@ -383,16 +383,17 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
     ops, cols = _encoded_columns(code)
     normals = _Normals(cols, k, ops)
     if ell == 3:
-        tuples = ((sets, reduced is not None) for sets, (_, reduced) in _mds3_triples(n, k))
+        tuples = _mds3_triples(n, k)
     else:
+        # in the (k2, reduced) shape of _mds3_triples: every tuple is open
         tuples = (
-            (sets, True)
+            (sets, (None, sets))
             for sets in _canonical_tuples(n, k, ell, k)
             if _generically_zero(sets, k)
         )
     count = evaluated = 0
-    for count, (sets, open_) in enumerate(tuples, 1):
-        if open_:
+    for count, (sets, (_, reduced)) in enumerate(tuples, 1):
+        if reduced is not None:
             evaluated += 1
             if normals.meet(sets):
                 witness = SetTuple(sets, n, k)

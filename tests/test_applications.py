@@ -503,16 +503,30 @@ def test_ld_early_exit_matches_full_sweep_reference(k, dual):
 
 
 def test_ld_failing_code_matches_full_sweep_reference():
+    # with up_to, size 2 fails at vector 171 inside size 1's 1,545-vector
+    # prefix, and the sweep finishes that prefix before it reports
     ext = _extended_rs_63()
-    for up_to in (True, False):
+    for up_to, walked in ((True, 1545), (False, 171)):
         r = ld_mds_check(ext, 2, up_to=up_to)
-        assert not r.ok and r.evaluated == r.tuples
+        assert not r.ok and r.evaluated == walked
         assert (r.ok, r.tuples, r.detail) == _ld_reference(ext, 2, up_to)
+
+
+def test_ld_smaller_size_failing_later_is_reported():
+    # size 2 meets a failing bucket at vector 171, size 1 fails at 218:
+    # the report names size 1, and the sweep stops there
+    rows = [[1, 4, 1, 4, 3, 2], [2, 4, 3, 4, 0, 0], [4, 2, 0, 4, 3, 0]]
+    code = explicit_code(F5, rows)
+    assert ld_mds_check(code, 2, up_to=False).evaluated == 171
+    r = ld_mds_check(code, 2, up_to=True)
+    assert r.detail.startswith("list size 1:")
+    assert (r.ok, r.tuples, r.evaluated) == (False, 218, 218)
+    assert (r.ok, r.tuples, r.detail) == _ld_reference(code, 2, True)
 
 
 def test_ld_evaluated_counts_vectors_walked():
     r = ld_mds_check(_rs(F5, 5, 3), 2, up_to=True)
-    assert (r.ok, r.tuples, r.evaluated) == (True, 2282, 380)
+    assert (r.ok, r.tuples, r.evaluated) == (True, 2282, 199)
     # at L = 1 the zero class of an MDS code holds only the zero vector
     # within weight n-k, so it is never decided and the sweep runs to the end
     r = ld_mds_check(_rs(F5, 5, 3), 1)
