@@ -36,15 +36,17 @@ the irreducibility test.
 
 Irreducibility of a supplied minimal polynomial is verified at construction
 time.  Over small fields Ben-Or's test is used: gcd(x^(q^i) - x, f) = 1 for
-every i up to half the degree.  Over a prime field the powers x^(p^i) mod f
-are Kronecker-packed residues (:class:`Packing`, built from p and f), so a
-square-and-multiply step is one int product; over an extension base they
-are polynomial products through the base field's backend.  The gcds run
-through the backend in both cases.  Binomial levels x^d - g are additionally
-recognized as tower steps of a composed binomial y^t - c over the small
-field at the bottom of the chain, and certified through the classical
-criterion for irreducibility of binomials; that is the only verification
-that stays affordable once the field below is itself astronomically large.
+every i up to half the degree, with i = 1 decided by a root test on a field
+with index tables and the later i in doubling blocks, one gcd per block.
+Over a prime field the powers x^(p^i) mod f are Kronecker-packed residues
+(:class:`Packing`, built from p and f), so a square-and-multiply step is
+one int product; over an extension base they are polynomial products
+through the base field's backend.  The gcds run through the backend in
+both cases.  Binomial levels x^d - g are additionally recognized as tower
+steps of a composed binomial y^t - c over the small field at the bottom of
+the chain, and certified through the classical criterion for
+irreducibility of binomials; that is the only verification that stays
+affordable once the field below is itself astronomically large.
 """
 
 from __future__ import annotations
@@ -797,6 +799,7 @@ class LevelOps:
         self.base = base = field_ops(field.base)
         self._zero_row = (base.zero,) * field.degree
         self.one = (base.one,) + self._zero_row[1:]
+        self.minus_one = (base.neg(base.one),) + self._zero_row[1:]
         self.tail = [base.encode(FieldElement(field.base, t)) for t in field.mod_tail]
 
     def encode(self, a: FieldElement) -> tuple:
@@ -818,6 +821,16 @@ class LevelOps:
     def mul(self, a, b):
         if not a or not b:
             return ()
+        # a factor of one or minus one needs no product through the levels
+        one, minus_one = self.one, self.minus_one
+        if a == one:
+            return b
+        if b == one:
+            return a
+        if a == minus_one:
+            return self.neg(b)
+        if b == minus_one:
+            return self.neg(a)
         # in a field a product of nonzero elements is nonzero, so never ()
         return tuple(_p_mulmod(self.base, a, b, self.tail))
 
@@ -945,11 +958,6 @@ def _power(mul, a, e: int):
     return out
 
 
-def _p_powmod(ops, a: list, e: int, tail: list) -> list:
-    """a^e (e >= 1) modulo the monic polynomial with this tail."""
-    return _power(lambda u, v: _p_mulmod(ops, u, v, tail), a, e)
-
-
 def _poly_inverse_mod(ops, a: list, modulus: list) -> list:
     """Inverse of a modulo an irreducible polynomial (extended Euclid)."""
     r0, s0 = _p_trim(list(modulus)), []
@@ -967,10 +975,36 @@ def _poly_inverse_mod(ops, a: list, modulus: list) -> list:
     return ops.scale(s1, ops.inv(r1[0]), 0)
 
 
+def _has_root(ops: TableOps, tail: list) -> bool:
+    """Whether the monic polynomial with this tail vanishes at some element,
+    by Horner at every index of a small field."""
+    add, rtail = ops.add_table, tail[::-1]
+    for times in ops.mul_table:
+        v = 1
+        for c in rtail:
+            v = add[times[v]][c]
+        if not v:
+            return True
+    return False
+
+
 def poly_is_irreducible(field: FieldSpec, coeffs: Sequence[FieldElement]) -> bool:
     """Ben-Or's test: f of degree d is irreducible over GF(q) iff
     gcd(x^(q^i) - x, f) = 1 for all 1 <= i <= d/2.  coeffs run low-to-high;
     f is made monic first, and a polynomial of degree < 1 is not irreducible.
+
+    Two shortcuts decide exactly what the rounds one by one decide:
+
+    * Round 1 is a root test on a field with index tables
+      (:class:`TableOps`): x^q - x is the product of x - a over all a in
+      GF(q), so gcd(x^q - x, f) = 1 iff f has no root, and Horner at the q
+      points decides it without powering or a gcd.  Without a root, f of
+      degree 2 or 3 is irreducible.  A larger field runs round 1 as a gcd.
+    * Rounds 2, 3-4, 5-8, ... are doubling blocks, each decided by one gcd
+      of f with the product of its residues x^(q^i) - x mod f.  Every
+      irreducible factor of f is prime, so it divides the product iff it
+      divides one residue: the gcd is 1 iff every round's gcd is.  A zero
+      product gives gcd f, and so reducible, as a zero residue does.
 
     x^(q^i) mod f comes from x^(q^(i-1)) by square-and-multiply.  Over a
     prime field each product is one int multiply of packed residues modulo
@@ -985,21 +1019,38 @@ def poly_is_irreducible(field: FieldSpec, coeffs: Sequence[FieldElement]) -> boo
     if d == 1:
         return True
     tail = ops.scale(f[:-1], ops.inv(f[-1]), 0)
+    rooted = isinstance(ops, TableOps)
+    if rooted:
+        if _has_root(ops, tail):
+            return False
+        if d <= 3:
+            return True
     f = tail + [ops.one]
     x = [ops.zero, ops.one] + [ops.zero] * (d - 2)
     q = field.order
     if field.D == 1:
         # residues as packed ints: a product is one int multiply and a fold
         k = Packing(field.p, tail)
-        h = k.pack(x)
-        step = lambda u: _power(k.mul, u, q)  # noqa: E731
+        mul, h = k.mul, k.pack(x)
+        neg_x = k.pack([0, field.p - 1] + [0] * (d - 2))
+        less_x = lambda u: k.reduce(u + neg_x)  # noqa: E731
         residue = lambda u: list(k.unpack(u))  # noqa: E731
     else:
         h, residue = x, list
-        step = lambda u: _p_powmod(ops, u, q, tail)  # noqa: E731
-    for _ in range(d // 2):
-        h = step(h)
-        if len(_p_gcd(ops, f, ops.sub_multiple(residue(h), x, ops.one, 1))) != 1:
+        mul = lambda u, v: _p_mulmod(ops, u, v, tail)  # noqa: E731
+        less_x = lambda u: ops.sub_multiple(u, x, ops.one, 1)  # noqa: E731
+    h = _power(mul, h, q)
+    if not rooted and len(_p_gcd(ops, f, residue(less_x(h)))) != 1:
+        return False
+    end = 1
+    while end < d // 2:
+        start, end = end + 1, min(2 * end, d // 2)
+        h = _power(mul, h, q)
+        prod = less_x(h)
+        for _ in range(start, end):
+            h = _power(mul, h, q)
+            prod = mul(prod, less_x(h))
+        if len(_p_gcd(ops, f, residue(prod))) != 1:
             return False
     return True
 

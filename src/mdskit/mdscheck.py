@@ -428,6 +428,10 @@ def _pairings_of_six(items: Sequence[int]) -> Iterator[Tuple[Tuple[int, int], ..
             yield ((a, b), (c, d), (last[0], last[1]))
 
 
+# the pairings of six positions 0..5, in the order _pairings_of_six yields them
+_PAIRINGS_OF_SIX = tuple(_pairings_of_six(range(6)))
+
+
 class _ProductMatrixContext:
     """Cached product-matrix entries for one Reed-Solomon code, in the
     encoding of the backend ``field_ops`` picks for its field."""
@@ -475,7 +479,11 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
     the 3 x 3 matrix with rows (1, s, p), s and p the sum and product of a
     pair's generators, must be nonsingular; its determinant is
     (s2 - s1)(p3 - p1) - (s3 - s1)(p2 - p1), with sums, products and
-    differences computed once per code.
+    differences computed once per code.  ``_pairings_of_six`` reads only
+    the positions of its six items, so ``_PAIRINGS_OF_SIX`` mapped through
+    a sorted six-subset is its pairings in the same order: the sweep's
+    count and first failing pairing are those of ``_pairings_of_six(six)``
+    over the subsets in lexicographic order.
     Other k: the verdict, count and witness of the triples of
     ``_mds3_triples``, each open one decided by the product-polynomial
     determinant of its disjoint reduction, without walking them when all
@@ -516,27 +524,31 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
     if k == 3:
         ops = field_ops(code.field)
         mul, one = ops.mul, ops.one
-        pairs = list(itertools.combinations(range(n), 2))
-        index = {pair: i for i, pair in enumerate(pairs)}
         enc = [ops.encode(g) for g in gens]
-        # each pair's sum s and product p, the last two entries of its row
-        sp = [[ops.encode(gens[a] + gens[b]), mul(enc[a], enc[b])] for a, b in pairs]
-        deltas: Dict[Tuple[int, int], list] = {}
-
-        def delta(i, j):
-            # (s_j - s_i, p_j - p_i)
-            got = deltas.get((i, j))
-            if got is None:
-                got = deltas[(i, j)] = ops.sub_multiple(sp[j], sp[i], one, 0)
-            return got
-
+        # pair (a, b), a < b, is index[a][b]; sp holds each pair's sum s and
+        # product p, the last two entries of its row
+        index = [[0] * n for _ in range(n)]
+        sp = []
+        for a, b in itertools.combinations(range(n), 2):
+            index[a][b] = len(sp)
+            sp.append([ops.encode(gens[a] + gens[b]), mul(enc[a], enc[b])])
+        # deltas[i][j] = [s_j - s_i, p_j - p_i], each row made on first use
+        deltas: List[Optional[list]] = [None] * len(sp)
         for six in itertools.combinations(range(n), 6):
-            for pairing in _pairings_of_six(six):
+            for (a, b), (c, d), (e, f) in _PAIRINGS_OF_SIX:
                 count += 1
-                i = index[pairing[0]]
-                ds2, dp2 = delta(i, index[pairing[1]])
-                ds3, dp3 = delta(i, index[pairing[2]])
-                if mul(ds2, dp3) == mul(ds3, dp2):
+                i = index[six[a]][six[b]]
+                row = deltas[i]
+                if row is None:
+                    row = deltas[i] = [None] * len(sp)
+                j, m = index[six[c]][six[d]], index[six[e]][six[f]]
+                d2, d3 = row[j], row[m]
+                if d2 is None:
+                    d2 = row[j] = ops.sub_multiple(sp[j], sp[i], one, 0)
+                if d3 is None:
+                    d3 = row[m] = ops.sub_multiple(sp[m], sp[i], one, 0)
+                if mul(d2[0], d3[1]) == mul(d3[0], d2[1]):
+                    pairing = (six[a], six[b]), (six[c], six[d]), (six[e], six[f])
                     witness = SetTuple(pairing, n, k)
                     return _report("mds3-rs", False, count, t0, witness, evaluated=count)
         return _report("mds3-rs", True, count, t0, evaluated=count)

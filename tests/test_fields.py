@@ -28,7 +28,6 @@ from mdskit.fields import (
     _p_divmod,
     _p_gcd,
     _p_mulmod,
-    _p_powmod,
     _p_submul,
     _p_trim,
     _poly_inverse_mod,
@@ -47,7 +46,7 @@ from mdskit.fields import (
     poly_is_irreducible,
     prime_factors,
 )
-from reference_ops import FieldOps
+from reference_ops import CountingOps, FieldOps, ben_or_per_round, p_powmod
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -527,9 +526,14 @@ _PINNED_IRREDUCIBLES = {
 @pytest.mark.parametrize(
     "key", sorted(_PINNED_IRREDUCIBLES), ids=lambda k: "gf%d^%d-deg%d" % k
 )
-def test_find_irreducible_pinned(key):
+def test_find_irreducible_pinned(key, monkeypatch):
+    import mdskit.fields as fields_mod
+
     p, e, d = key
     f = field_make(p, [e] if e > 1 else [])
+    assert [c.to_int() for c in find_irreducible(f, d)] == _PINNED_IRREDUCIBLES[key]
+    # and the same search with one gcd per Ben-Or round
+    monkeypatch.setattr(fields_mod, "poly_is_irreducible", ben_or_per_round)
     assert [c.to_int() for c in find_irreducible(f, d)] == _PINNED_IRREDUCIBLES[key]
 
 
@@ -575,7 +579,7 @@ def test_inverse_and_backend_helpers_match_field_ops(fi, seed):
         out = [dec(qu), dec(re), dec(_p_submul(ops, enc(x), enc(r), enc(y)))]
         out.append(dec(_p_gcd(ops, enc(x), enc(y))))
         out.append(dec(_p_mulmod(ops, enc(r), enc(s), t)))
-        out.append(dec(_p_powmod(ops, enc(r), e, t)))
+        out.append(dec(p_powmod(ops, enc(r), e, t)))
         if any(r):
             out.append(dec(_poly_inverse_mod(ops, enc(r), t + [ops.one])))
         results.append(out)
@@ -695,7 +699,7 @@ def test_division_with_a_wrong_inverse_raises():
 
 
 def _ben_or_reference(p, coeffs):
-    # Ben-Or on the generic polynomial layer: x^(p^i) mod f by _p_powmod over
+    # Ben-Or on the generic polynomial layer: x^(p^i) mod f by p_powmod over
     # ModPOps, one Horner product per step
     ops = ModPOps(field_make(p))
     f = _p_trim([c % p for c in coeffs])
@@ -706,7 +710,7 @@ def _ben_or_reference(p, coeffs):
     tail = [c * lead_inv % p for c in f[:-1]]
     h = [0, 1] + [0] * (d - 2)
     for _ in range(d // 2):
-        h = _p_powmod(ops, h, p, tail)
+        h = p_powmod(ops, h, p, tail)
         hx = h[:]
         hx[1] = (hx[1] - 1) % p
         if len(_p_gcd(ops, tail + [1], hx)) != 1:
@@ -716,7 +720,7 @@ def _ben_or_reference(p, coeffs):
 
 def _check_packed_ben_or(p, coeffs):
     """poly_is_irreducible against the reference, and every packed
-    x^(p^i) mod f against _p_powmod; returns the verdict."""
+    x^(p^i) mod f against p_powmod; returns the verdict."""
     f = field_make(p)
     got = poly_is_irreducible(f, [f.element(c) for c in coeffs])
     assert got == _ben_or_reference(p, coeffs), coeffs
@@ -730,7 +734,7 @@ def _check_packed_ben_or(p, coeffs):
         packed, want = k.pack(x), x
         for _ in range(d // 2):
             packed = _power(k.mul, packed, p)
-            want = _p_powmod(ModPOps(f), want, p, tail)
+            want = p_powmod(ModPOps(f), want, p, tail)
             assert list(k.unpack(packed)) == want, coeffs
     return got
 
@@ -774,6 +778,74 @@ def test_ben_or_below_degree_two(p):
     ]
     for coeffs, want in cases:
         assert _check_packed_ben_or(p, coeffs) == want, coeffs
+
+
+# -- Ben-Or's root test and gcd blocks against the per-round test ----------------------
+
+
+def _poly_product(f, a, b):
+    out = [f.zero] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = out[i + j] + c * d
+    return out
+
+
+def _agrees_with_per_round(f, poly):
+    got = poly_is_irreducible(f, poly)
+    assert got == ben_or_per_round(f, poly), [c.to_int() for c in poly]
+    return got
+
+
+@pytest.mark.parametrize(
+    "p,e,max_deg", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3), (7, 1, 3), (3, 2, 3)]
+)
+def test_ben_or_matches_per_round_on_every_small_polynomial(p, e, max_deg):
+    f = field_make(p, [e] if e > 1 else [])
+    els = list(f.elements())
+    lead = els[-1]  # not one unless q = 2, so the monic scaling runs
+    for d in range(max_deg + 1):
+        for tail in itertools.product(els, repeat=d):
+            poly = list(tail) + [f.one]
+            _agrees_with_per_round(f, poly)
+            _agrees_with_per_round(f, [c * lead for c in poly])
+
+
+@pytest.mark.parametrize("p", [41, 59])
+def test_ben_or_matches_per_round_at_degree_25(p):
+    f = field_make(p)
+    rng = random.Random(25 * p)
+    polys = [
+        [f.element(c) for c in cs] for cs in _random_int_polys(rng, p, 25, 30)
+    ]
+    # rootless and reducible, first caught by the blocks 2, 3-4, 5-8, 9-12,
+    # and a square
+    irr = {e: find_irreducible(f, e) for e in (2, 3, 7, 12, 13, 18, 21, 22, 23)}
+    for e in (2, 3, 7, 12):
+        polys.append(_poly_product(f, irr[e], irr[25 - e]))
+    polys.append(_poly_product(f, _poly_product(f, irr[2], irr[2]), irr[21]))
+    polys.append([f.element(c) for c in _PINNED_IRREDUCIBLES[(p, 1, 25)]])
+    verdicts = [_agrees_with_per_round(f, poly) for poly in polys]
+    assert verdicts[-6:] == [False] * 5 + [True]
+
+
+def test_ben_or_matches_per_round_without_root_test():
+    # GF(121) has no index tables: round 1 is a gcd, as are the blocks
+    f = field_make(11, [2])
+    assert type(field_ops(f)) is PackedOps
+    rng = random.Random(121)
+
+    def poly(d):
+        return [f.random_element(rng) for _ in range(d)] + [f.one]
+
+    polys = []
+    for d in range(6, 10):
+        polys += [poly(d) for _ in range(3)]
+        polys += [_poly_product(f, poly(e), poly(d - e)) for e in (1, 2, 3)]
+    polys.append(_poly_product(f, poly(2), poly(2)))
+    polys.append(find_irreducible(f, 6))
+    verdicts = [_agrees_with_per_round(f, poly) for poly in polys]
+    assert verdicts[-1] and not any(verdicts[3:6])
 
 
 # -- tower arithmetic against the sparse level-table multiply --------------------------
@@ -964,6 +1036,24 @@ def test_level_backend_matches_field_ops_and_level_tables(name):
             assert [ops.encode(w) for w in want] == got
     # a row minus itself is zero, and zero is ()
     assert ops.sub_multiple(enc, enc, ops.one, 0) == [()] * len(enc)
+
+
+def test_level_mul_by_one_or_minus_one_skips_the_product():
+    """A factor of +-1 gives the other factor or its negative, as
+    ``_p_mulmod`` does, without a product through the level below."""
+    f = LEVEL_TOWERS["GF(3)(2,3)"]
+    ops = LevelOps(f)
+    plain = ops.base
+    assert ops.minus_one == ops.encode(-f.one)
+    rng = random.Random(3)
+    els = [ops.encode(f.random_element(rng)) for _ in range(6)]
+    els += [ops.one, ops.minus_one, ops.encode(f.gen())]
+    ops.base = counted = CountingOps(plain)
+    for a in els:
+        for unit in (ops.one, ops.minus_one):
+            want = tuple(_p_mulmod(plain, a, unit, ops.tail))
+            assert ops.mul(a, unit) == ops.mul(unit, a) == want
+    assert counted.calls == dict.fromkeys(CountingOps.COUNTED, 0)
 
 
 def test_level_encode_skips_zero_blocks(monkeypatch):

@@ -14,7 +14,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdskit.constructions import build_general, build_k4, build_k5_weak
+from mdskit.constructions import (
+    build_general,
+    build_k3_n3,
+    build_k3_n4,
+    build_k4,
+    build_k5_weak,
+)
 from mdskit.codes import (
     GENERIC_ORACLE_PRIME,
     CodeSpec,
@@ -65,7 +71,7 @@ from mdskit.mdscheck import (
     lb_witness_projective,
     weak_reduce,
 )
-from reference_ops import FieldOps
+from reference_ops import FieldOps, rs_k3_sweep
 
 F7 = field_make(7)
 F11 = field_make(11)
@@ -615,6 +621,36 @@ def test_mds3_triples_match_filter_then_weak_reduce(n, k):
 
 
 # -- the equivalence triangle: fast path == block path == int-Gaussian oracle --------
+
+
+def _agrees_with_k3_sweep(code):
+    rep = is_mds3_rs_fast(code)
+    ok, tuples, witness, evaluated = rs_k3_sweep(code)
+    assert (rep.ok, rep.tuples, rep.evaluated) == (ok, tuples, evaluated)
+    assert (rep.witness and rep.witness.sets) == witness
+    return ok
+
+
+@pytest.mark.parametrize(
+    "build,n", [(build_k3_n4, 7), (build_k3_n4, 8), (build_k3_n4, 9),
+                (build_k3_n4, 10), (build_k3_n3, 7)],
+)
+def test_rs_k3_sweep_matches_reference_on_family_codes(build, n):
+    assert _agrees_with_k3_sweep(build(n).code)
+
+
+def test_rs_k3_sweep_matches_reference_on_seeded_codes():
+    """Same verdict, count, first failing pairing and determinant count as
+    the dict-memoized sweep, on 231 seeded [n, 3] codes over GF(7)-GF(23)."""
+    rng = random.Random(3)
+    verdicts = []
+    for q in (7, 8, 9, 11, 13, 16, 17, 19, 23):
+        field = field_of_order(q)
+        for n in range(6, min(q, 9) + 1):
+            for _ in range(7):
+                pts = [field.from_int(i) for i in rng.sample(range(q), n)]
+                verdicts.append(_agrees_with_k3_sweep(rs_code(field, pts, 3)))
+    assert len(verdicts) == 231 and 0 < sum(verdicts) < len(verdicts) // 2
 
 
 def test_rs_k3_fast_path_agrees_with_oracle_small():
