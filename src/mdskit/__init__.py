@@ -10,7 +10,6 @@ from .errors import (
     DivisionByZeroError,
     EvenCharacteristicError,
     FieldMismatchError,
-    InfeasibleProfileError,
     MdskitError,
     NotMDSError,
     NotPrimeError,
@@ -48,7 +47,6 @@ from .codes import (
     CodeSpec,
     SetTuple,
     dual_code,
-    enumerate_tuples,
     explicit_code,
     format_code,
     generator_matrix,

@@ -10,12 +10,11 @@ regressions.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 from .applications import TensorCodeSpec, duality_test, mr_check, single_parity_code
 from .codes import (
@@ -41,7 +40,6 @@ from .fields import field_make, frobenius
 from .linalg import MatrixF, block_mds_matrix, det, rank, subspace_intersection_dim
 from .mdscheck import (
     exhaustive_code_search,
-    is_mds,
     is_mds3_rs_fast,
     is_mds_ell,
     lb_witness_projective,
@@ -73,12 +71,6 @@ class CriterionResult:
     @property
     def verdict(self) -> str:
         return "pass" if self.ok else "FAIL"
-
-    def line(self) -> str:
-        return (
-            f"criterion {self.number:2d} [{self.name}]: {self.verdict} "
-            f"({self.detail}) [{self.seconds:.1f}s]"
-        )
 
 
 # wall-clock budgets, seconds

@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .linalg import MatrixF, eliminate, field_ops, null_basis, rref
-from .mdscheck import CheckReport, _report, is_mds_ell
+from .mdscheck import CheckReport, is_mds_ell
 
 __all__ = [
     "ErasurePattern",
@@ -270,7 +269,6 @@ def ld_mds_check(
     budget before the sweep starts.  Vector entries in failure details are
     canonical element indices.
     """
-    t0 = time.perf_counter()
     if L < 1:
         raise SizeConstraintError(f"need L >= 1, got {L}")
     prop = f"ld-mds(<={L})" if up_to else f"ld-mds({L})"
@@ -288,8 +286,8 @@ def ld_mds_check(
         ok, seen, detail = results[ell]
         total += seen
         if not ok:
-            return _report(prop, False, total, t0, detail=detail, evaluated=walked)
-    return _report(prop, True, total, t0, evaluated=walked)
+            return CheckReport(prop, False, total, detail=detail, evaluated=walked)
+    return CheckReport(prop, True, total, evaluated=walked)
 
 
 def duality_test(code: CodeSpec, ell: int, budget: int = 10**6) -> CheckReport:
@@ -299,17 +297,16 @@ def duality_test(code: CodeSpec, ell: int, budget: int = 10**6) -> CheckReport:
     and passes iff the verdicts agree; a disagreement would falsify one of
     the two implementations, so the detail always records both verdicts.
     """
-    t0 = time.perf_counter()
     if ell < 1:
         raise SizeConstraintError(f"need ell >= 1, got {ell}")
     prop = f"duality(ell={ell})"
     if code.k == 0:
-        return _report(prop, True, 0, t0, detail="zero-dimensional code")
+        return CheckReport(prop, True, 0, detail="zero-dimensional code")
     left = is_mds_ell(code, ell + 1)
     right = ld_mds_check(dual_code(code), ell, up_to=True, budget=budget)
     detail = f"mds({ell + 1})={left.verdict} ld-mds(<={ell})={right.verdict}"
-    return _report(
-        prop, left.ok == right.ok, left.tuples + right.tuples, t0, detail=detail
+    return CheckReport(
+        prop, left.ok == right.ok, left.tuples + right.tuples, detail=detail
     )
 
 
@@ -336,7 +333,6 @@ def worst_case_ld_check(
     the failing codeword, or of every codeword on a pass.  Both q^n and q^k
     times the ball size must stay within the budget.
     """
-    t0 = time.perf_counter()
     if L < 0:
         raise SizeConstraintError(f"need L >= 0, got {L}")
     if radius_num < 0 or radius_den <= 0:
@@ -354,8 +350,8 @@ def worst_case_ld_check(
     sizes = collections.Counter(tuple(syn) for _, _, syn in _syndromes(code, t))
     worst = max(sizes.values())
     if worst <= L:
-        return _report(
-            prop, True, q**k * ball, t0, detail=f"radius {t}, max list size {worst}"
+        return CheckReport(
+            prop, True, q**k * ball, detail=f"radius {t}, max list size {worst}"
         )
     ops = field_ops(field)
     enc = [ops.encode(field.from_int(v)) for v in range(q)]
@@ -386,7 +382,7 @@ def worst_case_ld_check(
         f"center {indices(y)} has {len(near)} > {L} codewords within "
         f"radius {t}: " + " | ".join(map(indices, near))
     )
-    return _report(prop, False, (i + 1) * ball, t0, detail=detail)
+    return CheckReport(prop, False, (i + 1) * ball, detail=detail)
 
 
 # -- tensor codes -------------------------------------------------------------------
@@ -647,7 +643,6 @@ def mr_check(
     in the detail; a budget of 0 samples nothing and is refused.  A
     negative budget or fewer than one trial is a size error.
     """
-    t0 = time.perf_counter()
     m, n, a, b = spec.m, spec.n, spec.a, spec.b
     if a < 1 or b < 0:
         raise SizeConstraintError("need a >= 1 and b >= 0")
@@ -675,11 +670,11 @@ def mr_check(
                 f"mode=exhaustive; pattern {pattern.format() or '(empty)'} "
                 f"{side}; {diff.bit_count()} disagreements"
             )
-            return _report(prop, False, 2**cells, t0, detail=detail)
+            return CheckReport(prop, False, 2**cells, detail=detail)
         detail = (
             f"mode=exhaustive; {act.bit_count()} of {2**cells} patterns correctable"
         )
-        return _report(prop, True, 2**cells, t0, detail=detail)
+        return CheckReport(prop, True, 2**cells, detail=detail)
 
     # sampling mode
     if budget == 0:
@@ -715,6 +710,6 @@ def mr_check(
                 f"mode=sampled {budget}/{2**cells}; pattern "
                 f"{pattern.format() or '(empty)'} {side}"
             )
-            return _report(prop, False, budget, t0, detail=detail)
+            return CheckReport(prop, False, budget, detail=detail)
     detail = f"mode=sampled; {budget} of {2**cells} patterns agree"
-    return _report(prop, True, budget, t0, detail=detail)
+    return CheckReport(prop, True, budget, detail=detail)

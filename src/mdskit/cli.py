@@ -29,7 +29,7 @@ from .applications import (
     tensor_parity,
     worst_case_ld_check,
 )
-from .codes import CodeSpec, format_code, parse_code
+from .codes import format_code, parse_code
 from .constructions import CONSTRUCTION_NAMES, ConstructionParams, construct
 from .errors import BudgetExceededError, MdskitError, SizeConstraintError
 from .linalg import rank
@@ -149,6 +149,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.ell is not None and args.property != "mdsell":
+        raise UsageError("--ell applies only with --property mdsell")
     code, _ = _load_code(args.file)
     if args.property == "mds":
         rep = is_mds(code)
@@ -156,7 +158,7 @@ def _cmd_check(args) -> int:
         # product-matrix path for evaluation codes, block path otherwise
         rep = is_mds3_rs_fast(code) if code.kind == "rs" else is_mds_ell(code, 3)
     else:  # mdsell
-        rep = is_mds_ell(code, args.ell)
+        rep = is_mds_ell(code, 3 if args.ell is None else args.ell)
     _emit_report(rep, args.format)
     return EXIT_PASS if rep.ok else EXIT_FAIL
 
@@ -339,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common], help="check a property of a code file")
     p.add_argument("file")
     p.add_argument("--property", required=True, choices=("mds", "mds3", "mdsell"))
-    p.add_argument("--ell", type=int, default=3, help="order for --property mdsell")
+    p.add_argument(
+        "--ell", type=int, default=None, help="order for --property mdsell (default 3)"
+    )
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("search", parents=[common], help="exhaustive tiny-space search")

@@ -1,20 +1,19 @@
 """Code objects and the combinatorial side of higher-order MDS checks.
 
 Holds Reed-Solomon and explicit linear codes, dualization and puncturing,
-the generically-zero-intersection predicate on tuples of column index sets,
-and deterministic tuple enumeration.  Index sets are 0-based everywhere.
+the generically-zero-intersection predicate on tuples of column index sets
+with its randomized generic oracle, and the code file format.  Index sets
+are 0-based everywhere.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegreeMismatchError,
-    InfeasibleProfileError,
     RankLossError,
     SizeConstraintError,
     WrongKindError,
@@ -42,7 +41,6 @@ __all__ = [
     "puncture",
     "generically_zero",
     "set_partitions",
-    "enumerate_tuples",
     "generic_intersection_dim",
     "GENERIC_ORACLE_PRIME",
     "GENERIC_ORACLE_FIELD",
@@ -166,14 +164,6 @@ class SetTuple:
     def format(self) -> str:
         return ";".join(",".join(str(i) for i in a) for a in self.sets)
 
-    @classmethod
-    def parse(cls, text: str, n: int, k: int) -> "SetTuple":
-        parts = text.split(";")
-        sets = tuple(
-            tuple(int(v) for v in p.split(",") if v != "") for p in parts
-        )
-        return cls(sets, n, k)
-
 
 def set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
     """All partitions of items into nonempty blocks (restricted growth order)."""
@@ -230,51 +220,6 @@ def _generically_zero(sets: Sequence[Sequence[int]], k: int) -> bool:
         if total > (s - 1) * k:
             return False
     return True
-
-
-def enumerate_tuples(
-    n: int,
-    k: int,
-    ell: int,
-    size_profile: Optional[Sequence[int]] = None,
-    only_generic: bool = False,
-) -> Iterator[SetTuple]:
-    """Deterministic lexicographic stream of qualifying set tuples.
-
-    Yields every ordered tuple of subsets of range(n) matching the size
-    profile (all feasible profiles in lexicographic order when omitted),
-    where a feasible profile has entries between 0 and min(k, n) summing
-    to (ell-1)*k.  With only_generic, tuples failing generically_zero are
-    dropped.
-    """
-    want = (ell - 1) * k
-    cap = min(k, n)
-    if size_profile is not None:
-        profile = tuple(size_profile)
-        if (
-            len(profile) != ell
-            or any(s < 0 or s > cap for s in profile)
-            or sum(profile) != want
-        ):
-            raise InfeasibleProfileError(
-                f"profile {profile} infeasible for n={n}, k={k}, l={ell}"
-            )
-        profiles = [profile]
-    else:
-        profiles = [
-            p
-            for p in itertools.product(range(cap + 1), repeat=ell)
-            if sum(p) == want
-        ]
-    for profile in profiles:
-        pools = [
-            list(itertools.combinations(range(n), s)) for s in profile
-        ]
-        for sets in itertools.product(*pools):
-            tup = SetTuple(sets, n, k)
-            if only_generic and not generically_zero(tup):
-                continue
-            yield tup
 
 
 def generic_intersection_dim(

@@ -9,8 +9,6 @@ re-certify the side conditions.
 from __future__ import annotations
 
 import itertools
-import math
-import random
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -151,18 +149,9 @@ def _first_elements(field: FieldSpec, n: int) -> List[FieldElement]:
 # -- side-condition certifiers ---------------------------------------------------------
 
 
-def six_sum_free(elements: Sequence[FieldElement], samples: int = 10**5) -> bool:
-    """No six distinct members sum to zero.  Exhaustive up to 20 members,
-    seeded sampling beyond that."""
-    m = len(elements)
-    if m < 6:
-        return True
-    if m <= 20:
-        pool = itertools.combinations(elements, 6)
-    else:
-        rng = random.Random(0)
-        pool = (rng.sample(elements, 6) for _ in range(samples))
-    for six in pool:
+def six_sum_free(elements: Sequence[FieldElement]) -> bool:
+    """No six distinct members sum to zero, over every 6-subset."""
+    for six in itertools.combinations(elements, 6):
         total = six[0]
         for x in six[1:]:
             total = total + x

@@ -61,10 +61,6 @@ class WrongKindError(MdskitError):
     """Operation requires a different code kind."""
 
 
-class InfeasibleProfileError(MdskitError):
-    """No set tuple can match the requested size profile."""
-
-
 class RankLossError(MdskitError):
     """Puncturing dropped the code rank below k."""
 

@@ -33,13 +33,13 @@ code's generators) encoded once.  Decision paths implemented here:
   (q-1)^(n-1) blocks; the minors and the certificates of the open triples
   go through ``_det_nonzero``.
 
-All reports carry the number of tuples examined and wall time.
+All reports carry the number of tuples examined and no wall time, so a
+report's line is the same on every run.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -76,7 +76,6 @@ class CheckReport:
     prop: str
     ok: bool
     tuples: int
-    time_ms: int
     witness: Optional[SetTuple] = None
     detail: Optional[str] = None
     # work actually done, never printed: certificates computed (determinants,
@@ -91,18 +90,11 @@ class CheckReport:
     def to_line(self) -> str:
         line = (
             f"property={self.prop} verdict={self.verdict} "
-            f"tuples={self.tuples} time_ms={self.time_ms}"
+            f"tuples={self.tuples}"
         )
         if self.witness is not None:
             line += f" witness={self.witness.format()}"
         return line
-
-
-def _report(
-    prop, ok, tuples, t0, witness=None, detail=None, evaluated=None
-) -> CheckReport:
-    ms = int((time.perf_counter() - t0) * 1000)
-    return CheckReport(prop, ok, tuples, ms, witness, detail, evaluated)
 
 
 # -- MDS ------------------------------------------------------------------------
@@ -127,7 +119,6 @@ def _minimal_dependent(ops, cols: list, cc: Sequence[int]) -> Tuple[int, ...]:
 
 def is_mds(code: CodeSpec) -> CheckReport:
     """Every k x k minor of the generator matrix must be nonzero."""
-    t0 = time.perf_counter()
     k, n = code.k, code.n
     count = 0
     if code.kind == "rs":
@@ -137,22 +128,20 @@ def is_mds(code: CodeSpec) -> CheckReport:
         gens = code.generators
         assert gens is not None
         if len(set(gens)) == n:
-            return _report("mds", True, comb(n, k), t0)
+            return CheckReport("mds", True, comb(n, k))
         for cols in itertools.combinations(range(n), k):
             count += 1
             if len({gens[c] for c in cols}) < k:
-                return _report(
-                    "mds", False, count, t0, SetTuple((cols,), n, k)
-                )
-        return _report("mds", True, count, t0)
+                return CheckReport("mds", False, count, SetTuple((cols,), n, k))
+        return CheckReport("mds", True, count)
     # each minor on its columns taken as rows, as a transpose keeps the det
     ops, cols = _encoded_columns(code)
     for cc in itertools.combinations(range(n), k):
         count += 1
         if not _det_nonzero(ops, [cols[j] for j in cc]):
             witness = SetTuple((_minimal_dependent(ops, cols, cc),), n, k)
-            return _report("mds", False, count, t0, witness)
-    return _report("mds", True, count, t0)
+            return CheckReport("mds", False, count, witness)
+    return CheckReport("mds", True, count)
 
 
 # -- canonical tuple enumeration ---------------------------------------------------
@@ -370,15 +359,14 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
     meets, so it is counted without a certificate.  The reference is
     ``linalg.block_mds_matrix``, singular on exactly the same tuples.
     """
-    t0 = time.perf_counter()
     if ell < 1:
         raise SizeConstraintError("ell must be at least 1")
     prop = f"mds{ell}"
     base = is_mds(code)
     if not base.ok:
-        return _report(prop, False, base.tuples, t0, base.witness, evaluated=0)
+        return CheckReport(prop, False, base.tuples, base.witness, evaluated=0)
     if ell <= 2:
-        return _report(prop, True, base.tuples, t0, evaluated=0)
+        return CheckReport(prop, True, base.tuples, evaluated=0)
     n, k = code.n, code.k
     ops, cols = _encoded_columns(code)
     normals = _Normals(cols, k, ops)
@@ -397,8 +385,8 @@ def is_mds_ell(code: CodeSpec, ell: int) -> CheckReport:
             evaluated += 1
             if normals.meet(sets):
                 witness = SetTuple(sets, n, k)
-                return _report(prop, False, count, t0, witness, evaluated=evaluated)
-    return _report(prop, True, count, t0, evaluated=evaluated)
+                return CheckReport(prop, False, count, witness, evaluated=evaluated)
+    return CheckReport(prop, True, count, evaluated=evaluated)
 
 
 def _first_intersecting(cols, k, tuples, ops) -> Tuple[int, Optional[tuple]]:
@@ -516,7 +504,6 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
     """
     if code.kind != "rs":
         raise WrongKindError("the fast MDS(3) path requires a Reed-Solomon code")
-    t0 = time.perf_counter()
     assert code.generators is not None
     n, k = code.n, code.k
     gens = code.generators
@@ -550,8 +537,8 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
                 if mul(d2[0], d3[1]) == mul(d3[0], d2[1]):
                     pairing = (six[a], six[b]), (six[c], six[d]), (six[e], six[f])
                     witness = SetTuple(pairing, n, k)
-                    return _report("mds3-rs", False, count, t0, witness, evaluated=count)
-        return _report("mds3-rs", True, count, t0, evaluated=count)
+                    return CheckReport("mds3-rs", False, count, witness, evaluated=count)
+        return CheckReport("mds3-rs", True, count, evaluated=count)
     ctx = _ProductMatrixContext(code)
     verdicts: Dict[tuple, bool] = {}
 
@@ -563,11 +550,11 @@ def is_mds3_rs_fast(code: CodeSpec) -> CheckReport:
 
     if all(verdict(k2, reduced) for k2, reduced in _mds3_configs(n, k)):
         count = _mds3_count(n, k)
-        return _report("mds3-rs", True, count, t0, evaluated=len(verdicts))
+        return CheckReport("mds3-rs", True, count, evaluated=len(verdicts))
     for count, (sets, (k2, reduced)) in enumerate(_mds3_triples(n, k), 1):
         if reduced is not None and not verdict(k2, reduced):
             witness = SetTuple(sets, n, k)
-            return _report("mds3-rs", False, count, t0, witness, evaluated=len(verdicts))
+            return CheckReport("mds3-rs", False, count, witness, evaluated=len(verdicts))
     raise AssertionError("every open configuration is some triple's reduction")
 
 
@@ -615,7 +602,6 @@ def lb_witness_projective(code: CodeSpec) -> CheckReport:
     at Reed-Solomon k = 2 the point is (g_a - g_0, g_a - g_1).  Both minors
     expand along their first column and share the k cofactors on A.
     """
-    t0 = time.perf_counter()
     n, k = code.n, code.k
     if k < 2 or n < k + 1:
         raise SizeConstraintError("need k >= 2 and n >= k+1")
@@ -632,17 +618,17 @@ def lb_witness_projective(code: CodeSpec) -> CheckReport:
     for i, (w1i, w2i) in enumerate(pts):
         if not w1i and not w2i:
             witness = SetTuple(((0, 1), subsets[i], subsets[i]), n, k)
-            return _report("lb-witness", False, count, t0, witness, detail)
+            return CheckReport("lb-witness", False, count, witness, detail)
         for j in range(i + 1, len(pts)):
             count += 1
             w1j, w2j = pts[j]
             # the cross product w1i w2j - w2i w1j vanishes
             if mul(w1i, w2j) == mul(w2i, w1j):
                 witness = SetTuple(((0, 1), subsets[i], subsets[j]), n, k)
-                return _report("lb-witness", False, count, t0, witness, detail)
+                return CheckReport("lb-witness", False, count, witness, detail)
     q_ok = code.field.order >= bound
     detail += f" q_at_least_bound={q_ok}"
-    return _report("lb-witness", q_ok, count, t0, None, detail)
+    return CheckReport("lb-witness", q_ok, count, None, detail)
 
 
 # -- exhaustive search over tiny parameter spaces -------------------------------------

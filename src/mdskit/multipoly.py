@@ -28,7 +28,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ArityMismatchError,
@@ -61,42 +61,26 @@ Exp = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """lex or degrevlex over the variables in `perm` order (the first most
-    significant; default 0..v-1).  It owns the packed encoding that
-    gb_reduce and buchberger run on (`packing`)."""
+    """lex or degrevlex over x1, ..., xv, with x1 the most significant.  It
+    owns the packed encoding that gb_reduce and buchberger run on
+    (`packing`)."""
 
     kind: str = "degrevlex"
-    perm: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.kind not in ("lex", "degrevlex"):
             raise WrongKindError(f"unknown monomial order {self.kind!r}")
-        perm = self.perm
-        if perm is not None and sorted(perm) != list(range(len(perm))):
-            raise WrongKindError(
-                f"perm {perm!r} is not a permutation of 0..{len(perm) - 1}"
-            )
 
     def key(self, exp: Exp):
         """Comparable key; larger key means larger monomial."""
-        perm = self.perm
-        if perm is not None and len(perm) != len(exp):
-            raise ArityMismatchError(
-                f"order over {len(perm)} variables, monomial in {len(exp)}"
-            )
-        e = exp if perm is None else tuple(exp[i] for i in perm)
         if self.kind == "lex":
-            return e
-        return (sum(e), tuple(-x for x in reversed(e)))
+            return exp
+        return (sum(exp), tuple(-x for x in reversed(exp)))
 
     def packing(self, v: int, cap: int) -> "MonomialPacking":
         """The packing of monomials in v variables whose exponents and total
         degree are at most `cap` (rounded up to one less than a power of
         two); one shared object per order, v and field width."""
-        if self.perm is not None and len(self.perm) != v:
-            raise ArityMismatchError(
-                f"order over {len(self.perm)} variables, polynomials in {v}"
-            )
         return _packing(self, v, max(cap, 0).bit_length() + 1)
 
 
@@ -110,12 +94,12 @@ class MonomialPacking:
 
     Every field is `bits` wide and its top bit is a guard that a valid
     monomial keeps clear, so a field holds 0..cap with cap = 2**(bits-1)-1.
-    With the order's variables e'_0, e'_1, ... (e'_k = e[perm[k]]):
+    For an exponent vector e = (e_0, ..., e_{v-1}):
 
-    - lex: field v-1-k holds e'_k, so e'_0 is most significant;
-    - degrevlex: field v holds the total degree and field k holds
-      cap - e'_k, so the int is base + deg*W**v - sum e'_k*W**k (W =
-      2**bits), ordered by the key (deg, -e'_{v-1}, ..., -e'_0).
+    - lex: field v-1-i holds e_i, so e_0 is most significant;
+    - degrevlex: field v holds the total degree and field i holds
+      cap - e_i, so the int is base + deg*W**v - sum e_i*W**i (W =
+      2**bits), ordered by the key (deg, -e_{v-1}, ..., -e_0).
 
     Either way a monomial is base + sum e_i*units[i], so int order is the
     monomial order, the product of a and b is a + b - base, and a divides b
@@ -128,22 +112,15 @@ class MonomialPacking:
     def __init__(self, order: MonomialOrder, v: int, cap: int):
         bits = max(cap, 0).bit_length() + 1
         self.cap = cap = (1 << (bits - 1)) - 1
-        perm = order.perm if order.perm is not None else range(v)
-        units = [0] * v
-        shifts = [0] * v
         if order.kind == "lex":
             fields, self.base, self._flip = v, 0, 0
-            for k, i in enumerate(perm):
-                shifts[i] = bits * (v - 1 - k)
-                units[i] = 1 << shifts[i]
+            self._shifts = tuple(bits * (v - 1 - i) for i in range(v))
+            self.units = tuple(1 << s for s in self._shifts)
         else:
             fields, self._flip = v + 1, cap
-            self.base = sum(cap << (bits * k) for k in range(v))
-            for k, i in enumerate(perm):
-                shifts[i] = bits * k
-                units[i] = (1 << (bits * v)) - (1 << shifts[i])
-        self.units = tuple(units)
-        self._shifts = tuple(shifts)
+            self.base = sum(cap << (bits * i) for i in range(v))
+            self._shifts = tuple(bits * i for i in range(v))
+            self.units = tuple((1 << (bits * v)) - (1 << s) for s in self._shifts)
         self.mask = sum((cap + 1) << (bits * k) for k in range(fields))
 
     def encode(self, exp: Exp) -> int:

@@ -16,7 +16,7 @@ pytestmark = pytest.mark.acceptance
 
 def _run(number):
     res = run_criterion(number)
-    print(res.line())
+    print(res)
     assert res.ok, res.detail
     assert res.seconds < BUDGET_SECONDS[number], (
         f"criterion {number} took {res.seconds:.1f}s, "

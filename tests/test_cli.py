@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import types
 
 import pytest
 
+import mdskit
 from mdskit import cli
 from mdskit.codes import format_code, parse_code
 from mdskit.constructions import build_k3_n3
@@ -272,13 +274,15 @@ def test_non_utf8_code_file_exits_2(tmp_path, capsys, args):
         ["tensor-check", "--m", "2", "--pattern", "a,b"],
         ["tensor-check", "--m", "2", "--pattern", "5,0"],
         ["check", "--property", "mdsell", "--ell", "0"],
+        ["check", "--property", "mds", "--ell", "9"],
+        ["check", "--property", "mds3", "--ell", "9"],
         ["ld-check", "--list-size", "0"],
         ["tensor-check", "--m", "1"],
         ["tensor-check", "--m", "2", "--trials", "-2"],
         ["tensor-check", "--m", "2", "--trials", "0"],
     ],
     ids=["pattern_one_coordinate", "pattern_not_int", "pattern_off_grid",
-         "ell_zero", "list_size_zero", "mr_m_one", "mr_trials_negative",
+         "ell_zero", "ell_on_mds", "ell_on_mds3", "list_size_zero", "mr_m_one", "mr_trials_negative",
          "tensor_trials_zero"],
 )
 def test_bad_argument_exits_2(tmp_path, capsys, args):
@@ -594,6 +598,40 @@ def test_parser_option_sets_are_pinned():
         "acceptance": ["--format"],
     }
     assert sum(len(opts) for opts in options.values()) == 31
+
+
+def test_package_names_are_pinned():
+    # a new public name of the package has to be added here on purpose
+    names = sorted(
+        name
+        for name, value in vars(mdskit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == [
+        "ArityMismatchError", "BudgetExceededError", "BuildResult",
+        "CONSTRUCTION_NAMES", "CharacteristicMismatchError", "CheckReport",
+        "CodeSpec", "ConstructionParams", "DEGREVLEX", "DegreeMismatchError",
+        "DegreeTooHighError", "DimensionMismatchError", "DivisionByZeroError",
+        "ErasurePattern", "EvenCharacteristicError", "FieldElement",
+        "FieldMismatchError", "FieldSpec", "LEX", "MatrixF", "MdskitError",
+        "MonomialOrder", "NotMDSError", "NotPrimeError", "NotSquareError",
+        "RankLossError", "ReduciblePolynomialError", "SearchResult", "SetTuple",
+        "SidonSetNotFoundError", "SizeConstraintError", "SparsePoly",
+        "TensorCodeSpec", "WrongKindError", "block_mds_matrix", "buchberger",
+        "construct", "det", "dual_code", "duality_test", "exhaustive_code_search",
+        "explicit_code", "field_make", "find_irreducible", "format_code",
+        "format_element", "format_field", "frobenius", "gamma_expand_det3",
+        "gb_reduce", "generator_matrix", "generic_intersection_dim",
+        "generically_zero", "greedy_sidon", "is_mds", "is_mds3_rs_fast",
+        "is_mds_ell", "is_prime", "is_sidon", "kernel", "lb_witness_projective",
+        "ld_mds_check", "mr_check", "pairing_ideal", "parse_code", "parse_element",
+        "parse_field", "parse_pattern", "parse_poly", "poly_is_irreducible",
+        "puncture", "rank", "rref", "rs_code", "set_partitions",
+        "single_parity_code", "six_sum_free", "solve", "subspace_intersection_dim",
+        "tensor_parity", "verify_char2_membership", "verify_claim_q_identity",
+        "verify_groebner_claim", "worst_case_ld_check",
+    ]
+    assert len(names) == 84
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
-"""Code objects, the generic-zero predicate, tuple enumeration, file format."""
+"""Code objects, the generic-zero predicate and its oracle, file format."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from mdskit.codes import (
     CodeSpec,
     SetTuple,
     dual_code,
-    enumerate_tuples,
     explicit_code,
     format_code,
     generic_intersection_dim,
@@ -25,7 +23,6 @@ from mdskit.codes import (
 )
 from mdskit.errors import (
     DegreeMismatchError,
-    InfeasibleProfileError,
     RankLossError,
     SizeConstraintError,
     WrongKindError,
@@ -256,62 +253,6 @@ def test_generic_oracle_agrees_with_predicate():
             want_zero = generically_zero(tup)
             dim = generic_intersection_dim(tup, trials=3, seed=1)
             assert (dim == 0) == want_zero, f"{tup.sets}"
-
-
-# -- enumeration ------------------------------------------------------------------
-
-
-def test_enumerate_profile_count():
-    tuples = list(enumerate_tuples(6, 3, 3, size_profile=(2, 2, 2)))
-    assert len(tuples) == 15**3
-
-
-def test_enumerate_disjoint_count():
-    count = sum(
-        1
-        for t in enumerate_tuples(6, 3, 3, size_profile=(2, 2, 2))
-        if not (set(t.sets[0]) & set(t.sets[1]))
-        and not (set(t.sets[0]) & set(t.sets[2]))
-        and not (set(t.sets[1]) & set(t.sets[2]))
-    )
-    assert count == math.factorial(6) // (2 * 2 * 2)
-
-
-def test_enumerate_all_profiles_k4():
-    profiles = {
-        t.sizes()
-        for t in enumerate_tuples(8, 4, 3)
-        if all(s <= 3 for s in t.sizes())
-    }
-    assert profiles == {(2, 3, 3), (3, 2, 3), (3, 3, 2)}
-
-
-def test_enumerate_lexicographic_and_deterministic():
-    seq = [t.sets for t in enumerate_tuples(4, 2, 2, size_profile=(1, 1))]
-    assert seq[:5] == [
-        ((0,), (0,)),
-        ((0,), (1,)),
-        ((0,), (2,)),
-        ((0,), (3,)),
-        ((1,), (0,)),
-    ]
-    assert seq == [t.sets for t in enumerate_tuples(4, 2, 2, size_profile=(1, 1))]
-
-
-def test_enumerate_infeasible_profile():
-    with pytest.raises(InfeasibleProfileError):
-        list(enumerate_tuples(6, 3, 3, size_profile=(3, 3, 1)))
-    with pytest.raises(InfeasibleProfileError):
-        list(enumerate_tuples(6, 3, 3, size_profile=(4, 1, 1)))
-
-
-def test_enumerate_generic_filter():
-    all_t = list(enumerate_tuples(6, 2, 3, size_profile=(1, 1, 2)))
-    generic = list(
-        enumerate_tuples(6, 2, 3, size_profile=(1, 1, 2), only_generic=True)
-    )
-    assert len(generic) < len(all_t)
-    assert all(generically_zero(t) for t in generic)
 
 
 # -- file format --------------------------------------------------------------------

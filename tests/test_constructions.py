@@ -295,3 +295,12 @@ def test_six_sum_free_detects_zero_sums():
     zero_sum = [F.from_int(v) for v in (1, 2, 3, 4, 5, 6)]
     assert not six_sum_free(zero_sum)
     assert six_sum_free([F.from_int(v) for v in (0, 1, 2)])
+
+
+def test_six_sum_free_is_exhaustive_above_twenty_members():
+    # over GF(127) six distinct members of 1..21 sum to 21..111, never 0;
+    # 112 = -15 = -(1+2+3+4+5) closes one zero six-sum with 1..5
+    F = field_make(127)
+    small = [F.from_int(v) for v in range(1, 22)]
+    assert six_sum_free(small)
+    assert not six_sum_free(small[:20] + [F.from_int(112)])

@@ -1,7 +1,6 @@
 """Each script under demos/ runs to the end and prints its verdicts."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# one line each script must print, with any " time_ms=N" taken out
+# one line each script must print
 DEMOS = {
     "certificates.py": "Groebner membership over GF(7): pass",
     "construct_and_verify.py": "  property=mds3 verdict=pass tuples=1190",
@@ -33,5 +32,4 @@ def test_demo_runs_and_prints_its_verdict(script):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = re.sub(r" time_ms=\d+", "", proc.stdout).splitlines()
-    assert DEMOS[script] in lines
+    assert DEMOS[script] in proc.stdout.splitlines()

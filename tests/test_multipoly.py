@@ -23,7 +23,6 @@ from mdskit.errors import (
     DegreeTooHighError,
     EvenCharacteristicError,
     NotPrimeError,
-    WrongKindError,
 )
 from mdskit.fields import field_make
 from mdskit.linalg import MatrixF, det
@@ -383,37 +382,8 @@ def test_monomial_order_conventions():
     assert LEX.key(xz) > LEX.key(y2)
     # degree dominates in degrevlex
     assert DEGREVLEX.key((2, 0, 0)) > DEGREVLEX.key((0, 1, 0))
-    # permuted lex reverses the roles
-    rev = MonomialOrder("lex", perm=(2, 1, 0))
-    assert rev.key((0, 0, 1)) > rev.key((1, 0, 0))
     with pytest.raises(Exception):
         MonomialOrder("grlex")
-
-
-def test_monomial_order_rejects_non_permutation():
-    # (0, 0, 2) would give x1 and x2 the same place and two monomials one key
-    for perm in ((0, 0, 2), (1, 2, 3), (0, 2)):
-        with pytest.raises(WrongKindError):
-            MonomialOrder("lex", perm=perm)
-
-
-def test_perm_length_must_match_arity():
-    x, y, z = (V(5, i, 3) for i in range(3))
-    short = MonomialOrder("lex", perm=(1, 0))
-    with pytest.raises(ArityMismatchError):
-        gb_reduce(x * y + z, [x - z], short)
-    with pytest.raises(ArityMismatchError):
-        buchberger([x - z, y], short)
-    # lead and format used to compare x1 and x2 only and call x1 the lead
-    f = parse_poly("x1 + x3^5", 5, 3)
-    with pytest.raises(ArityMismatchError):
-        f.lead(short)
-    with pytest.raises(ArityMismatchError):
-        f.format(short)
-    with pytest.raises(ArityMismatchError):
-        f.lead(MonomialOrder("degrevlex", perm=(3, 2, 1, 0)))
-    assert f.lead(MonomialOrder("lex", perm=(2, 1, 0))) == ((0, 0, 5), 1)
-    assert f.format(MonomialOrder("lex", perm=(2, 1, 0))) == "1*x3^5 + 1*x1^1"
 
 
 def test_negative_exponent_rejected():
@@ -568,20 +538,14 @@ def test_repeated_pair_collapses_expansion():
     assert all(q.is_zero() for q in gamma_expand_det3(slots))
 
 
-ORDERS = {
-    "degrevlex": lambda v, perm: DEGREVLEX,
-    "lex": lambda v, perm: LEX,
-    "permuted lex": lambda v, perm: MonomialOrder("lex", perm=perm),
-}
+ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
 
 
 @st.composite
 def reduction_cases(draw):
     p = draw(st.sampled_from([2, 5, 7]))
     v = draw(st.integers(1, 6))
-    order = ORDERS[draw(st.sampled_from(sorted(ORDERS)))](
-        v, tuple(draw(st.permutations(range(v))))
-    )
+    order = ORDERS[draw(st.sampled_from(sorted(ORDERS)))]
 
     def poly(min_terms, max_terms, degree):
         exps = st.tuples(*[st.integers(0, degree)] * v).filter(
